@@ -15,7 +15,8 @@ import pytest
 
 from repro.geometry import generate_tape
 from repro.obs import EventBus, TraceRecorder, bind_standard_metrics
-from repro.online import BatchPolicy, TertiaryStorageSystem
+from repro.library import Cartridge, MultiDriveSystem, label_requests
+from repro.online import BatchPolicy
 from repro.workload import PoissonArrivals
 
 RATE_PER_HOUR = 240.0
@@ -25,17 +26,21 @@ HORIZON_SECONDS = 4 * 3600.0
 @pytest.fixture(scope="module")
 def setup():
     tape = generate_tape(seed=1)
-    requests = PoissonArrivals(
-        rate_per_hour=RATE_PER_HOUR,
-        total_segments=tape.total_segments,
-        seed=3,
-    ).batch(HORIZON_SECONDS)
+    requests = label_requests(
+        "tape",
+        PoissonArrivals(
+            rate_per_hour=RATE_PER_HOUR,
+            total_segments=tape.total_segments,
+            seed=3,
+        ).batch(HORIZON_SECONDS),
+    )
     return tape, requests
 
 
 def run_system(tape, requests, bus=None):
-    system = TertiaryStorageSystem(
-        geometry=tape, policy=BatchPolicy(max_batch=32), bus=bus
+    system = MultiDriveSystem(
+        [Cartridge("tape", tape)], drives=1, preload=["tape"],
+        policy=BatchPolicy(max_batch=32), bus=bus,
     )
     return system.run(requests)
 

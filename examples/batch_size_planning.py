@@ -25,7 +25,8 @@ from repro.analysis import (
 )
 from repro.experiments import ExperimentConfig, run_per_locate
 from repro.geometry import generate_tape
-from repro.online import BatchPolicy, TertiaryStorageSystem
+from repro.library import Cartridge, MultiDriveSystem, label_requests
+from repro.online import BatchPolicy
 from repro.workload import PoissonArrivals
 
 RATES = (30.0, 80.0, 150.0, 250.0)
@@ -61,13 +62,17 @@ def main() -> None:
     rate = 150.0
     batch, _ = recommend_batch(curve, rate)
     tape = generate_tape(seed=8)
-    requests = PoissonArrivals(
-        rate_per_hour=rate, total_segments=tape.total_segments, seed=8
-    ).batch(12 * 3600.0)
+    requests = label_requests(
+        "tape",
+        PoissonArrivals(
+            rate_per_hour=rate, total_segments=tape.total_segments, seed=8
+        ).batch(12 * 3600.0),
+    )
     print(f"\nsimulating {rate:.0f}/hour for 12 h:")
     for max_batch in (8, batch):
-        system = TertiaryStorageSystem(
-            geometry=tape, policy=BatchPolicy(max_batch=max_batch)
+        system = MultiDriveSystem(
+            [Cartridge("tape", tape)], drives=1, preload=["tape"],
+            policy=BatchPolicy(max_batch=max_batch),
         )
         stats = system.run(requests)
         label = "recommended" if max_batch == batch else "naive"

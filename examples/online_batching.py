@@ -3,9 +3,9 @@
 The paper's premise is an *online* tertiary store: requests trickle in,
 get batched, and each batch is scheduled before execution.  Bigger
 batches schedule better (lower cost per I/O) but make early requests
-wait.  This example runs a Poisson request stream through the
-:class:`~repro.online.TertiaryStorageSystem` at several batching
-policies and prints the trade-off.
+wait.  This example runs a Poisson request stream through a one-drive
+:class:`~repro.library.MultiDriveSystem` (the tape preloaded) at
+several batching policies and prints the trade-off.
 
 Run with::
 
@@ -15,7 +15,8 @@ Run with::
 from __future__ import annotations
 
 from repro import generate_tape
-from repro.online import BatchPolicy, TertiaryStorageSystem
+from repro.library import Cartridge, MultiDriveSystem, label_requests
+from repro.online import BatchPolicy
 from repro.workload import PoissonArrivals
 
 #: One simulated day of arrivals.
@@ -28,11 +29,14 @@ RATE_PER_HOUR = 110.0
 
 def main() -> None:
     tape = generate_tape(seed=5)
-    requests = PoissonArrivals(
-        rate_per_hour=RATE_PER_HOUR,
-        total_segments=tape.total_segments,
-        seed=5,
-    ).batch(HORIZON_SECONDS)
+    requests = label_requests(
+        "tape",
+        PoissonArrivals(
+            rate_per_hour=RATE_PER_HOUR,
+            total_segments=tape.total_segments,
+            seed=5,
+        ).batch(HORIZON_SECONDS),
+    )
     print(f"{len(requests)} requests over {HORIZON_SECONDS / 3600:.0f} h "
           f"({RATE_PER_HOUR:.0f}/hour) against {tape.label}\n")
 
@@ -40,7 +44,10 @@ def main() -> None:
           f"{'busy':>7} {'batches':>8}")
     for max_batch in (16, 48, 96, 192):
         policy = BatchPolicy(max_batch=max_batch, flush_when_idle=True)
-        system = TertiaryStorageSystem(geometry=tape, policy=policy)
+        system = MultiDriveSystem(
+            [Cartridge("tape", tape)], drives=1, preload=["tape"],
+            policy=policy,
+        )
         stats = system.run(requests)
         busy = sum(b.execution_seconds for b in system.batches)
         span = max(

@@ -20,7 +20,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro import generate_tape
-from repro.online import Cartridge, StripedTapeArray
+from repro.library import Cartridge
+from repro.online import StripedTapeArray
 
 BATCH_SIZE = 256
 SEED = 3

@@ -29,7 +29,6 @@ from repro.cache import (
     AdmissionPolicy,
     AlwaysAdmit,
     CachedLibrarySystem,
-    CachedTertiaryStorageSystem,
     CostThresholdAdmission,
     EvictionPolicy,
     FIFOPolicy,
@@ -64,13 +63,17 @@ from repro.obs import (
     bind_standard_metrics,
     summarize_events,
 )
-from repro.library import LibraryRequest, MultiDriveSystem
+from repro.library import (
+    Cartridge,
+    LibraryRequest,
+    MultiDriveSystem,
+    label_requests,
+)
 from repro.online import (
     BatchPolicy,
     CacheStats,
     DeadlineBatchPolicy,
     ResponseStats,
-    TertiaryStorageSystem,
 )
 from repro.serve import (
     Gateway,
@@ -132,7 +135,7 @@ __all__ = [
     "CacheError",
     "CacheStats",
     "CachedLibrarySystem",
-    "CachedTertiaryStorageSystem",
+    "Cartridge",
     "CostThresholdAdmission",
     "DeadlineBatchPolicy",
     "DriveError",
@@ -181,7 +184,6 @@ __all__ = [
     "TenantConfig",
     "TenantLoadSpec",
     "TenantStats",
-    "TertiaryStorageSystem",
     "TraceError",
     "TraceRecorder",
     "TraceSummary",
@@ -198,6 +200,7 @@ __all__ = [
     "get_scheduler",
     "ground_truth_drive",
     "ground_truth_model",
+    "label_requests",
     "make_tape_pair",
     "rewind_time",
     "scheduler_names",

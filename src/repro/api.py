@@ -7,7 +7,10 @@ one import, so downstream code can write::
 
     tape = api.generate_tape(seed=7)
     bus = api.EventBus()
-    system = api.TertiaryStorageSystem(geometry=tape, bus=bus)
+    system = api.MultiDriveSystem(
+        [api.Cartridge("tape", tape)], drives=1, preload=["tape"],
+        bus=bus,
+    )
 
 and stay insulated from internal module moves: names re-exported here
 are stable across releases (see ``docs/API.md`` for the signatures and
@@ -21,8 +24,9 @@ The facade groups:
 * **geometry / model** — synthetic cartridges and the locate-time model;
 * **scheduling** — the paper's eight algorithms, the LTSP frontier
   solvers (exact, repair, sweep, greedy), schedules, execution;
-* **online** — the batching service loop, the robotic library, and the
-  staging-cache front-end;
+* **online** — the batching service loop (the robotic library's
+  :class:`~repro.library.MultiDriveSystem`, one preloaded drive for the
+  paper's single-tape setting) and the staging-cache front-end;
 * **serving** — the SLA-aware gateway of :mod:`repro.serve` (tenants,
   fairness, backpressure, typed shedding) and its deterministic
   multi-tenant load generator — the entry point external callers are
@@ -41,7 +45,6 @@ import warnings
 from repro._version import __version__
 from repro.cache.library_tier import CachedLibrarySystem
 from repro.cache.store import SegmentCache
-from repro.cache.system import CachedTertiaryStorageSystem
 from repro.drive.simulated import SimulatedDrive
 from repro.exceptions import (
     AdmissionRejected,
@@ -84,7 +87,7 @@ from repro.obs import (
     write_events_jsonl,
 )
 from repro.library import (
-    LibraryBatchRecord,
+    BatchRecord,
     LibraryRequest,
     MediaAgingModel,
     MultiDriveSystem,
@@ -94,6 +97,7 @@ from repro.library import (
     get_arm_policy,
     get_assignment_policy,
     get_exchange_policy,
+    label_requests,
     poisson_library_stream,
 )
 from repro.library.cartridge import Cartridge, TapeLibrary
@@ -109,7 +113,6 @@ from repro.online.striping import (
     StripedVolume,
     striped_volume,
 )
-from repro.online.system import BatchRecord, TertiaryStorageSystem
 from repro.resilience import (
     FaultInjector,
     FaultPlan,
@@ -160,7 +163,6 @@ __all__ = [
     "CacheError",
     "CacheStats",
     "CachedLibrarySystem",
-    "CachedTertiaryStorageSystem",
     "Cartridge",
     "DeadlineBatchPolicy",
     "DeadlineExpired",
@@ -174,7 +176,6 @@ __all__ = [
     "FaultInjector",
     "FaultPlan",
     "Finding",
-    "LibraryBatchRecord",
     "LibraryRequest",
     "LinearizedModel",
     "LintError",
@@ -218,7 +219,6 @@ __all__ = [
     "TenantLoadSpec",
     "TenantOverloaded",
     "TenantStats",
-    "TertiaryStorageSystem",
     "TimedRequest",
     "TraceError",
     "TraceRecorder",
@@ -240,6 +240,7 @@ __all__ = [
     "get_assignment_policy",
     "get_exchange_policy",
     "get_scheduler",
+    "label_requests",
     "linear_deadhead_sections",
     "load_serve_trace",
     "poisson_library_stream",

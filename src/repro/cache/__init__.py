@@ -10,11 +10,9 @@ and only goes to tape on a miss.  This package provides that tier:
   control for demand fills;
 * :mod:`repro.cache.prefetch` — opportunistic staging of the segments
   a batch's head passes over while reading through coalesced gaps;
-* :mod:`repro.cache.system` — :class:`CachedTertiaryStorageSystem`,
-  the cache composed with the online batching system;
 * :mod:`repro.cache.library_tier` — :class:`CachedLibrarySystem`, the
-  same tier injected in front of a multi-drive
-  :class:`~repro.library.MultiDriveSystem`.
+  tier injected in front of a :class:`~repro.library.MultiDriveSystem`
+  (one preloaded drive for the paper's single-tape setting).
 """
 
 from repro.cache.admission import (
@@ -38,12 +36,11 @@ from repro.cache.prefetch import (
     opportunistic_prefetch,
     prefetch_candidates,
 )
-from repro.cache.library_tier import CachedLibrarySystem
-from repro.cache.store import SegmentCache
-from repro.cache.system import (
+from repro.cache.library_tier import (
     DEFAULT_CACHE_CAPACITY_SEGMENTS,
-    CachedTertiaryStorageSystem,
+    CachedLibrarySystem,
 )
+from repro.cache.store import SegmentCache
 from repro.online.metrics import CacheStats
 
 __all__ = [
@@ -52,7 +49,6 @@ __all__ = [
     "AlwaysAdmit",
     "CacheStats",
     "CachedLibrarySystem",
-    "CachedTertiaryStorageSystem",
     "CostThresholdAdmission",
     "DEFAULT_CACHE_CAPACITY_SEGMENTS",
     "DEFAULT_MAX_PREFETCH_PER_BATCH",

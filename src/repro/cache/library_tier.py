@@ -1,15 +1,18 @@
-"""The disk staging cache in front of the multi-drive library.
+"""The disk staging cache in front of the tape library.
 
-:class:`CachedTertiaryStorageSystem` composes the cache with one drive
-by subclassing; this module composes it with any backend by
+The paper's setting is an *online* store: random reads hit tape only
+after missing a disk staging tier.  This module adds that tier by
 *injection*: ``CachedLibrarySystem(system=MultiDriveSystem(...))``
-wraps a fresh multi-drive system and serves lookups from a shared
+wraps a fresh library (one drive and one preloaded tape for the
+paper's single-drive setting) and serves lookups from a shared
 :class:`~repro.cache.store.SegmentCache` first.  Hits complete at
-(simulated) arrival time plus the configured disk latency; misses flow
-into the backend unchanged.  After every backend batch the fetched
-segments are staged (admission-controlled, failure-filtered) and the
-segments the head passed over are prefetched for free — the same
-policy as the single-drive tier, per drive bay.
+(simulated) arrival time plus the configured disk latency (disk
+latency is negligible against 10–100 s locates); misses flow into the
+backend unchanged.  When a backend batch *completes*, the segments it
+fetched are staged (admission-controlled, failure-filtered) and the
+segments the head passed over are prefetched for free, per drive bay.
+Staging at completion keeps the tier causal: a hit is only ever served
+from data the tape has already read.
 
 The cache is shared across cartridges, so resident segments are keyed
 in a *global* address space: each cartridge (sorted by label) owns a
@@ -34,7 +37,6 @@ from repro.cache.prefetch import (
     opportunistic_prefetch,
 )
 from repro.cache.store import SegmentCache
-from repro.cache.system import DEFAULT_CACHE_CAPACITY_SEGMENTS
 from repro.constants import DEFAULT_COALESCE_THRESHOLD
 from repro.exceptions import CacheError, LibraryError, UnknownTape
 from repro.library.events import SimEvent
@@ -42,6 +44,9 @@ from repro.library.requests import LibraryRequest
 from repro.library.system import MultiDriveSystem
 from repro.obs.events import RequestCompleted
 from repro.online.metrics import CacheStats, ResponseStats
+
+#: Default staging capacity: a 1 GB disk of the paper's 32 KB segments.
+DEFAULT_CACHE_CAPACITY_SEGMENTS = 32_768
 
 
 @dataclass(frozen=True, slots=True)
@@ -98,13 +103,15 @@ class CachedLibrarySystem:
         stream.
     cache:
         The staging tier; defaults to an LRU/always-admit cache of
-        :data:`~repro.cache.system.DEFAULT_CACHE_CAPACITY_SEGMENTS`
+        :data:`DEFAULT_CACHE_CAPACITY_SEGMENTS`
         segments.  Keys are global (see module docstring) — do not
         share one cache between tiers with different shelves.
     hit_latency_seconds:
         Response time charged to a cache hit.
     prefetch, prefetch_threshold, max_prefetch_per_batch:
-        Passed-over-segment prefetch, as in the single-drive tier.
+        Stage the segments each batch's head passes over (see
+        :mod:`repro.cache.prefetch`), with the coalescing distance and
+        per-batch cap of that module.
     """
 
     def __init__(

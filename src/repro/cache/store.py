@@ -50,7 +50,7 @@ class SegmentCache:
         Optional :class:`~repro.obs.bus.EventBus`; publishes
         ``cache.hit`` / ``cache.miss`` / ``cache.admit`` /
         ``cache.reject`` / ``cache.evict`` events stamped with the bus
-        clock.  A :class:`~repro.cache.system.CachedTertiaryStorageSystem`
+        clock.  A :class:`~repro.cache.library_tier.CachedLibrarySystem`
         attaches its own bus automatically.
     """
 

@@ -17,15 +17,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.cache.admission import get_admission
+from repro.cache.library_tier import CachedLibrarySystem
 from repro.cache.policies import get_policy
 from repro.cache.store import SegmentCache
-from repro.cache.system import CachedTertiaryStorageSystem
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.report import print_table
 from repro.experiments.result import TabularResult
 from repro.geometry.generator import generate_tape
+from repro.library.cartridge import Cartridge
+from repro.library.requests import label_requests
+from repro.library.system import MultiDriveSystem
 from repro.online.batch_queue import BatchPolicy
-from repro.online.system import TertiaryStorageSystem
+from repro.online.metrics import ResponseStats
 from repro.workload.arrivals import TimedRequest, ZipfArrivals
 from repro.workload.zipf import ZipfWorkload
 
@@ -111,16 +114,19 @@ def _simulate(
     cache: SegmentCache | None,
     max_batch: int,
     prefetch: bool,
-) -> TertiaryStorageSystem:
-    policy = BatchPolicy(max_batch=max_batch)
+) -> ResponseStats:
+    """One run on a single preloaded drive, behind ``cache`` if given."""
+    system = MultiDriveSystem(
+        [Cartridge("tape", tape)],
+        drives=1,
+        preload=["tape"],
+        policy=BatchPolicy(max_batch=max_batch),
+    )
+    labelled = label_requests("tape", requests)
     if cache is None:
-        system = TertiaryStorageSystem(geometry=tape, policy=policy)
-    else:
-        system = CachedTertiaryStorageSystem(
-            geometry=tape, policy=policy, cache=cache, prefetch=prefetch
-        )
-    system.run(requests)
-    return system
+        return system.run(labelled)
+    tier = CachedLibrarySystem(system=system, cache=cache, prefetch=prefetch)
+    return tier.run(labelled)
 
 
 def _run_capacity_point(
@@ -143,12 +149,12 @@ def _run_capacity_point(
         policy=get_policy(policy),
         admission=get_admission(admission),
     )
-    system = _simulate(tape, requests, cache, max_batch, prefetch)
+    stats = _simulate(tape, requests, cache, max_batch, prefetch)
     return CacheSimPoint(
         capacity_segments=capacity,
         hit_rate=cache.stats.hit_rate,
-        mean_seconds=system.stats.mean_seconds,
-        p99_seconds=system.stats.percentile(99),
+        mean_seconds=stats.mean_seconds,
+        p99_seconds=stats.percentile(99),
         evictions=cache.stats.evictions,
         prefetch_insertions=cache.stats.prefetch_insertions,
     )
@@ -242,8 +248,8 @@ def run(
         policy=policy,
         admission=admission,
         prefetch=prefetch,
-        baseline_mean_seconds=baseline.stats.mean_seconds,
-        baseline_p99_seconds=baseline.stats.percentile(99),
+        baseline_mean_seconds=baseline.mean_seconds,
+        baseline_p99_seconds=baseline.percentile(99),
         points=tuple(points),
     )
 

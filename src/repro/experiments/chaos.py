@@ -1,9 +1,9 @@
 """Chaos experiments: fault sweeps against the hardened systems.
 
-``python -m repro chaos`` services a Poisson stream on a
-:class:`~repro.online.system.TertiaryStorageSystem` whose drive is
-wrapped in a :class:`~repro.resilience.FaultInjector`, at each fault
-rate of a sweep.  The headline number is the **eventual completion
+``python -m repro chaos`` services a Poisson stream on a one-drive
+:class:`~repro.library.MultiDriveSystem` (the tape preloaded) whose
+drive is wrapped in a :class:`~repro.resilience.FaultInjector`, at each
+fault rate of a sweep.  The headline number is the **eventual completion
 ratio** — the fraction of requests that completed after in-place
 retries and bounded requeues; the resilience layer's contract is that
 it stays 1.0 at any plausible fault rate (a lost request is a bug, not
@@ -37,11 +37,11 @@ from repro.experiments.report import print_table
 from repro.geometry.generator import generate_tape
 from repro.library.aging import MediaAgingModel
 from repro.library.cartridge import Cartridge
+from repro.library.requests import label_requests
 from repro.library.system import MultiDriveSystem
 from repro.obs.bus import EventBus
 from repro.online.batch_queue import BatchPolicy
 from repro.online.striping import StripedReadCoordinator, striped_volume
-from repro.online.system import TertiaryStorageSystem
 from repro.resilience.injection import FaultPlan
 from repro.resilience.policy import ResilienceConfig, RetryPolicy
 from repro.scheduling.base import get_scheduler
@@ -149,8 +149,10 @@ def run_point(
     bus = EventBus()
     retries = bus.collect("request.retry")
     faults = bus.collect("fault.injected")
-    system = TertiaryStorageSystem(
-        geometry=tape,
+    system = MultiDriveSystem(
+        [Cartridge("tape", tape)],
+        drives=1,
+        preload=["tape"],
         scheduler=get_scheduler(algorithm),
         policy=BatchPolicy(max_batch=max_batch),
         bus=bus,
@@ -172,7 +174,7 @@ def run_point(
         total_segments=tape.total_segments,
         seed=config.workload_seed,
     ).batch(horizon_hours * 3600.0)
-    stats = system.run(requests)
+    stats = system.run(label_requests("tape", requests))
     has_samples = stats.count > 0
     return ChaosPoint(
         fault_rate=fault_rate,

@@ -1,8 +1,9 @@
 """Instrumented end-to-end run: record, verify, and export a trace.
 
 ``python -m repro trace`` services a Poisson stream on a fully
-instrumented :class:`~repro.online.system.TertiaryStorageSystem` (the
-whole pipeline shares one :class:`~repro.obs.bus.EventBus`), then
+instrumented one-drive :class:`~repro.library.MultiDriveSystem` (the
+tape preloaded; the whole pipeline shares one
+:class:`~repro.obs.bus.EventBus`), then
 summarizes the recorded stream.  Two built-in cross-checks make this a
 smoke test of the telemetry layer itself (``--smoke`` fails the process
 when either breaks):
@@ -31,8 +32,10 @@ from repro.obs.trace import (
     response_stats_from_events,
     write_events_jsonl,
 )
+from repro.library.cartridge import Cartridge
+from repro.library.requests import label_requests
+from repro.library.system import MultiDriveSystem
 from repro.online.batch_queue import BatchPolicy
-from repro.online.system import TertiaryStorageSystem
 from repro.scheduling.base import get_scheduler
 from repro.workload.arrivals import PoissonArrivals
 
@@ -49,7 +52,7 @@ class TraceRunResult:
 
     summary: TraceSummary
     registry: MetricsRegistry
-    system: TertiaryStorageSystem
+    system: MultiDriveSystem
     recorder: TraceRecorder
     worst_phase_error_seconds: float
     mean_matches: bool
@@ -100,8 +103,10 @@ def run(
     bus = EventBus()
     recorder = TraceRecorder(bus)
     registry = bind_standard_metrics(bus)
-    system = TertiaryStorageSystem(
-        geometry=tape,
+    system = MultiDriveSystem(
+        [Cartridge("tape", tape)],
+        drives=1,
+        preload=["tape"],
         scheduler=get_scheduler(algorithm),
         policy=BatchPolicy(max_batch=max_batch),
         bus=bus,
@@ -111,7 +116,7 @@ def run(
         total_segments=tape.total_segments,
         seed=config.workload_seed,
     ).batch(horizon_hours * 3600.0)
-    stats = system.run(requests)
+    stats = system.run(label_requests("tape", requests))
 
     spans = recorder.batch_spans()
     worst = max(

@@ -2,19 +2,20 @@
 
 ``repro.library`` holds everything between "a request names a
 cartridge" and "a drive reads its segments": the cartridge shelf and
-single-drive :class:`TapeLibrary` (moved here from
-``repro.online.library``), the discrete-event
+single-drive :class:`TapeLibrary`, the discrete-event
 :class:`~repro.library.kernel.EventKernel`, the
 :class:`~repro.library.robot.ArmPool` of
 :class:`~repro.library.robot.RobotArm` exchange servers, pluggable
 drive-assignment / exchange / arm-assignment policies, the
 :class:`~repro.library.aging.MediaAgingModel` of per-cartridge wear,
-and the N-drive :class:`MultiDriveSystem` that ties them together.
-See ``docs/LIBRARY.md``.
+and the N-drive :class:`MultiDriveSystem` that ties them together —
+the package's one serving loop, which with one drive and a preloaded
+tape is the paper's single-drive online system.  See
+``docs/LIBRARY.md``.
 """
 
-# Cartridge names first: repro.online imports them from the submodule
-# directly, and the system module below imports repro.online, so this
+# Cartridge names first: repro.online.striping imports them from the
+# submodule directly, and the system module below imports repro.online, so this
 # order keeps the partial-module window safe in both directions.
 from repro.library.cartridge import (
     Cartridge,
@@ -44,15 +45,20 @@ from repro.library.policies import (
     get_assignment_policy,
     get_exchange_policy,
 )
-from repro.library.requests import LibraryRequest, poisson_library_stream
+from repro.library.requests import (
+    LibraryRequest,
+    label_requests,
+    poisson_library_stream,
+)
 from repro.library.robot import ArmPool, ExchangeJob, RobotArm
-from repro.library.system import LibraryBatchRecord, MultiDriveSystem
+from repro.library.system import BatchRecord, MultiDriveSystem
 
 __all__ = [
     "ArmAssignmentPolicy",
     "ArmPool",
     "ArmView",
     "AssignmentPolicy",
+    "BatchRecord",
     "Cartridge",
     "DEFAULT_EXCHANGE_SECONDS",
     "DedicatedBayArms",
@@ -64,7 +70,6 @@ __all__ = [
     "ExchangePolicy",
     "LeastBusyArms",
     "LeastLoadedAssignment",
-    "LibraryBatchRecord",
     "LibraryRequest",
     "MediaAgingModel",
     "MultiDriveSystem",
@@ -80,5 +85,6 @@ __all__ = [
     "get_arm_policy",
     "get_assignment_policy",
     "get_exchange_policy",
+    "label_requests",
     "poisson_library_stream",
 ]

@@ -13,9 +13,6 @@ one drive, mounts serviced synchronously on the caller's clock); the
 event-driven multi-drive generalization lives in
 :class:`~repro.library.system.MultiDriveSystem`, which charges the same
 per-exchange costs through a shared robot arm in simulated time.
-
-(These classes moved here from ``repro.online.library``; the old import
-path keeps working through a deprecation shim.)
 """
 
 from __future__ import annotations

@@ -9,9 +9,8 @@ external observers belong.
 Each event class carries a ``priority`` that breaks ties between events
 scheduled at the same simulated instant.  The ordering encodes the
 serving loop's invariants: every request that has *arrived by* time t
-is admitted before any batch is dispatched at t (matching the
-admit-then-dispatch order of the single-drive
-:class:`~repro.online.system.TertiaryStorageSystem` loop), mounts
+is admitted before any batch is dispatched at t (the paper's
+admit-then-dispatch serving order), mounts
 complete before the robot picks its next job, and queue deadlines are
 re-examined last, after the state they watch has settled.
 """
@@ -96,8 +95,8 @@ class BatchDispatched(SimEvent):
 
     Dispatch ranks after arrivals at the same instant so the flushed
     batch includes every request whose arrival time equals the dispatch
-    time — exactly what the single-drive loop's "admit everything that
-    has arrived by now, then flush" ordering produces.
+    time — the serving loop's "admit everything that has arrived by
+    now, then flush" ordering.
     """
 
     priority: ClassVar[int] = 30

@@ -1,15 +1,14 @@
 """The discrete-event simulation core of the multi-drive library.
 
-The single-drive :class:`~repro.online.system.TertiaryStorageSystem`
-advances time with an explicit "next interesting instant" computation —
-fine for one drive, impossible for N drives, one robot arm, and M
-cartridge queues all progressing concurrently.  :class:`EventKernel`
-replaces that loop with the classic DES core: a monotonic simulated
-clock and a heap of timed, typed events.  Components schedule future
-events; the kernel pops them in ``(seconds, priority, insertion)``
-order and dispatches to registered handlers, so causality at equal
-timestamps is deterministic and explicit (see
-:mod:`repro.library.events` for the priority ranking).
+A single-drive serving loop can advance time with an explicit "next
+interesting instant" computation — fine for one drive, impossible for
+N drives, one robot arm, and M cartridge queues all progressing
+concurrently.  :class:`EventKernel` is the classic DES core instead: a
+monotonic simulated clock and a heap of timed, typed events.
+Components schedule future events; the kernel pops them in
+``(seconds, priority, insertion)`` order and dispatches to registered
+handlers, so causality at equal timestamps is deterministic and
+explicit (see :mod:`repro.library.events` for the priority ranking).
 
 The kernel knows nothing about tapes: it is a generic scheduler for
 :class:`~repro.library.events.SimEvent` objects, kept separate so the

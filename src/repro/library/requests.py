@@ -1,10 +1,11 @@
 """Timed requests addressed to named cartridges.
 
-The single-drive system serves :class:`~repro.workload.TimedRequest`
-streams against the one mounted tape; a multi-drive library needs each
-request to say *which* cartridge holds its data.  A
-:class:`LibraryRequest` is a timed request plus that cartridge label,
-and :func:`poisson_library_stream` generates the multi-tape analogue of
+The workload generators produce :class:`~repro.workload.TimedRequest`
+streams against one tape; a library needs each request to say *which*
+cartridge holds its data.  A :class:`LibraryRequest` is a timed request
+plus that cartridge label: :func:`label_requests` addresses a
+single-tape stream to one cartridge, and :func:`poisson_library_stream`
+generates the multi-tape analogue of
 :class:`~repro.workload.PoissonArrivals`: Poisson arrivals whose
 targets are uniform over (cartridge, segment).
 """
@@ -12,7 +13,7 @@ targets are uniform over (cartridge, segment).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 
 import numpy as np
 
@@ -36,6 +37,21 @@ class LibraryRequest:
             segment=self.segment,
             length=self.length,
         )
+
+
+def label_requests(
+    label: str, requests: Iterable[TimedRequest]
+) -> list[LibraryRequest]:
+    """Address a single-tape request stream to cartridge ``label``."""
+    return [
+        LibraryRequest(
+            arrival_seconds=item.arrival_seconds,
+            label=label,
+            segment=item.segment,
+            length=item.length,
+        )
+        for item in requests
+    ]
 
 
 def poisson_library_stream(

@@ -1,9 +1,18 @@
-"""The event-driven multi-drive tertiary storage system.
+"""The event-driven tertiary storage system: the one serving core.
 
-:class:`MultiDriveSystem` generalizes the paper's single-drive serving
-loop (:class:`~repro.online.system.TertiaryStorageSystem`) to N drives
-and M cartridges on the :class:`~repro.library.kernel.EventKernel`:
-requests address named cartridges, accumulate in per-tape batch
+:class:`MultiDriveSystem` runs the paper's online serving loop —
+requests arrive over time, accumulate in a batch queue, and whenever a
+drive is free the queued batch is handed to a scheduling algorithm and
+executed, the head starting each batch wherever the previous one
+finished — on N drives and M cartridges over the
+:class:`~repro.library.kernel.EventKernel`.  The paper's own setting,
+one drive serving batches from one tape, is the 1-drive system with
+that tape preloaded::
+
+    MultiDriveSystem([Cartridge("tape", geometry)], drives=1,
+                     preload=["tape"])
+
+Requests address named cartridges, accumulate in per-tape batch
 queues, and idle drive bays pick tapes via a pluggable
 :class:`~repro.library.policies.AssignmentPolicy` (which tape next) and
 :class:`~repro.library.policies.ExchangePolicy` (when to give one up).
@@ -24,17 +33,23 @@ paper's Fig. 8/9 sensitivity studies — plus real failures for the
 resilience layer (and the striped-volume degraded reads above it) to
 absorb.
 
-Per-drive batch execution reuses the existing machinery unchanged —
-the configured scheduling algorithm (LOSS/SLTF/SCAN/...), the
-executor, and the resilience layer's retry policy and bounded requeues
-— so a 1-drive, 1-cartridge system with the cartridge preloaded
-reproduces the single-drive serving path bit-identically (the
-equivalence the test suite pins).
+Per-drive batch execution uses the configured scheduling algorithm
+(LOSS/SLTF/SCAN/...), the executor, and the resilience layer's retry
+policy and bounded requeues.  A 1-drive, 1-cartridge system with the
+cartridge preloaded reproduces the retired single-drive serving loop
+bit-identically: ``tests/library/golden/single_drive_reference.json``
+froze that loop's outputs and the equivalence tests pin them.
 
-With ``bus=`` the whole library publishes onto one stream: the obs
-events of the single-drive path (queue, schedule, batch, request,
-fault) now carry a ``drive`` field, mounts/unmounts carry the bay, and
-each completed exchange additionally publishes
+With ``bus=`` the whole library publishes onto one stream: the queue
+publishes admit events (stamped at each request's arrival) and
+dispatch events, the scheduler's estimate is published with each
+computed schedule, the executor publishes per-request locate/read
+events carrying *estimated vs actual* locate seconds, and the system
+publishes per-request completions (at each request's read, not at
+batch end) plus per-batch spans whose phase durations partition the
+measured execution (see ``docs/OBSERVABILITY.md``).  Batch, request
+and fault events carry a ``drive`` field, mounts/unmounts carry the
+bay, and each completed exchange additionally publishes
 :class:`~repro.obs.events.MountWaitRecorded` so mount waits and robot
 occupancy are first-class metrics (see
 :func:`~repro.obs.metrics.bind_standard_metrics`).
@@ -95,7 +110,6 @@ from repro.obs.events import (
 )
 from repro.online.batch_queue import BatchPolicy, BatchQueue
 from repro.online.metrics import ResponseStats
-from repro.online.system import BatchRecord
 from repro.resilience.injection import FaultInjector, FaultPlan
 from repro.resilience.policy import ResilienceConfig
 from repro.scheduling.base import Scheduler, get_scheduler
@@ -106,20 +120,49 @@ from repro.scheduling.request import Request
 
 
 @dataclass(frozen=True)
-class LibraryBatchRecord(BatchRecord):
-    """A :class:`~repro.online.system.BatchRecord` plus its bay and tape."""
+class BatchRecord:
+    """One executed batch, for reporting.
 
+    The per-phase decomposition satisfies ``locate_seconds +
+    transfer_seconds + rewind_seconds + fault_seconds ==
+    execution_seconds`` (to float round-off); ``queue_wait_seconds`` is
+    the summed pre-execution wait of the batch's requests and
+    ``estimated_seconds`` the scheduler's model estimate.  ``drive``
+    and ``label`` name the bay and the tape the batch ran on.
+    """
+
+    start_seconds: float
+    size: int
+    algorithm: str
+    execution_seconds: float
+    queue_wait_seconds: float = 0.0
+    locate_seconds: float = 0.0
+    transfer_seconds: float = 0.0
+    rewind_seconds: float = 0.0
+    estimated_seconds: float | None = None
+    fault_seconds: float = 0.0
+    failed: int = 0
     drive: int = 0
     label: str = ""
+
+    @property
+    def phase_seconds(self) -> float:
+        """Sum of the execution phases (equals ``execution_seconds``)."""
+        return (
+            self.locate_seconds
+            + self.transfer_seconds
+            + self.rewind_seconds
+            + self.fault_seconds
+        )
 
 
 def _derived_seed(seed: int, drive_index: int, mount_index: int) -> int:
     """Per-(drive, mount) fault-plan seed.
 
     The very first mount on bay 0 keeps the base seed unchanged, so a
-    preloaded 1-drive system draws the exact fault stream of the
-    single-drive path; later mounts get independent deterministic
-    streams.
+    preloaded 1-drive system draws the plan's own fault stream (the
+    single-drive equivalence depends on it); later mounts get
+    independent deterministic streams.
     """
     if drive_index == 0 and mount_index == 0:
         return seed
@@ -250,7 +293,7 @@ class MultiDriveSystem:
             for label in sorted(self._shelf)
         }
         self.stats = ResponseStats()
-        self.batches: list[LibraryBatchRecord] = []
+        self.batches: list[BatchRecord] = []
         #: Requests that exhausted their requeue budget.
         self.failed: list[LibraryRequest] = []
         #: Times a failed request re-entered its tape's queue.
@@ -816,7 +859,7 @@ class MultiDriveSystem:
             now - item.arrival_seconds for item in batch
         )
         self.batches.append(
-            LibraryBatchRecord(
+            BatchRecord(
                 start_seconds=now,
                 size=len(batch),
                 algorithm=schedule.algorithm,

@@ -83,7 +83,7 @@ class EventBus:
     ----------
     now:
         The simulation clock, advanced by whoever drives the simulation
-        (e.g. :class:`~repro.online.system.TertiaryStorageSystem`).
+        (e.g. :class:`~repro.library.MultiDriveSystem`).
         Publishers without their own clock — the staging cache — stamp
         events with it.
     events_published:

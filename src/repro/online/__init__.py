@@ -1,18 +1,13 @@
-"""Online tertiary storage: batching queue, robotic library, system."""
+"""Online tertiary storage: batching queue, metrics, striped volumes.
+
+The serving loop itself is :class:`repro.library.MultiDriveSystem`
+(one drive with a preloaded tape for the paper's single-tape setting).
+"""
 
 from repro.online.batch_queue import (
     BatchPolicy,
     BatchQueue,
     DeadlineBatchPolicy,
-)
-
-# Canonical home since the repro.library subsystem; re-exported here for
-# compatibility (importing the submodule directly stays warning-free,
-# unlike the repro.online.library shim).
-from repro.library.cartridge import (
-    Cartridge,
-    DEFAULT_EXCHANGE_SECONDS,
-    TapeLibrary,
 )
 from repro.online.metrics import CacheStats, ResponseStats
 from repro.online.striping import (
@@ -24,15 +19,11 @@ from repro.online.striping import (
     StripedVolume,
     striped_volume,
 )
-from repro.online.system import BatchRecord, TertiaryStorageSystem
 
 __all__ = [
     "BatchPolicy",
     "BatchQueue",
-    "BatchRecord",
     "CacheStats",
-    "Cartridge",
-    "DEFAULT_EXCHANGE_SECONDS",
     "DeadlineBatchPolicy",
     "ResponseStats",
     "LogicalRead",
@@ -42,6 +33,4 @@ __all__ = [
     "StripedTapeArray",
     "StripedVolume",
     "striped_volume",
-    "TapeLibrary",
-    "TertiaryStorageSystem",
 ]

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from repro.geometry import generate_tape, tiny_tape
+from repro.library import Cartridge, MultiDriveSystem
 from repro.model import LocateTimeModel
 
 
@@ -35,6 +36,27 @@ def full_tape():
 def full_model(full_tape):
     """Locate model for the full-size cartridge."""
     return LocateTimeModel(full_tape)
+
+
+@pytest.fixture(scope="session")
+def single_drive():
+    """Builder for the paper's single-drive online system.
+
+    ``single_drive(geometry, **config)`` is a 1-drive
+    :class:`~repro.library.MultiDriveSystem` with ``geometry`` preloaded
+    as cartridge ``"tape"``; address requests to it with
+    ``label_requests("tape", stream)``.
+    """
+
+    def build(geometry, **config):
+        return MultiDriveSystem(
+            [Cartridge("tape", geometry)],
+            drives=1,
+            preload=["tape"],
+            **config,
+        )
+
+    return build
 
 
 @pytest.fixture()

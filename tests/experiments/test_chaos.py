@@ -65,10 +65,10 @@ class TestChaosSweep:
         assert "Chaos sweep" in out
         assert "completion ratio 1.0" in out
 
-    def test_zero_rate_matches_unhardened_system(self):
+    def test_zero_rate_matches_unhardened_system(self, single_drive):
         from repro.geometry.generator import generate_tape
+        from repro.library import label_requests
         from repro.online.batch_queue import BatchPolicy
-        from repro.online.system import TertiaryStorageSystem
         from repro.workload.arrivals import PoissonArrivals
 
         config = ExperimentConfig()
@@ -76,14 +76,15 @@ class TestChaosSweep:
             config, fault_rate=0.0, horizon_hours=0.3
         )
         tape = generate_tape(seed=config.tape_seed)
-        plain = TertiaryStorageSystem(
-            geometry=tape, policy=BatchPolicy(max_batch=32)
+        plain = single_drive(tape, policy=BatchPolicy(max_batch=32))
+        requests = label_requests(
+            "tape",
+            PoissonArrivals(
+                rate_per_hour=120.0,
+                total_segments=tape.total_segments,
+                seed=config.workload_seed,
+            ).batch(0.3 * 3600.0),
         )
-        requests = PoissonArrivals(
-            rate_per_hour=120.0,
-            total_segments=tape.total_segments,
-            seed=config.workload_seed,
-        ).batch(0.3 * 3600.0)
         stats = plain.run(requests)
         assert point.completed == stats.count
         assert point.mean_response_seconds == pytest.approx(

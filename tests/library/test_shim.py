@@ -1,5 +1,11 @@
-"""The repro.online.library deprecation shim."""
+"""The retired ``repro.online.library`` shim stays retired.
 
+The cartridge shelf and single-drive library live in
+``repro.library.cartridge``; the warn-once ``repro.online.library``
+module and the ``repro.online`` re-exports that pointed there are gone.
+"""
+
+import importlib
 import warnings
 
 import pytest
@@ -12,66 +18,24 @@ from repro.library.cartridge import (
 
 
 class TestDeprecationShim:
-    @pytest.fixture()
-    def fresh_shim(self, monkeypatch):
-        """The shim with its warned-once memory cleared."""
-        import repro.online.library as shim
-
-        monkeypatch.setattr(shim, "_warned", set())
-        return shim
-
-    def test_old_cartridge_path_warns_once(self, fresh_shim):
-        with pytest.warns(
-            DeprecationWarning, match="repro.library.cartridge"
-        ):
-            cls = fresh_shim.Cartridge
-        assert cls is Cartridge
-
-    def test_every_moved_name_resolves(self, fresh_shim):
-        canonical = {
-            "Cartridge": Cartridge,
-            "DEFAULT_EXCHANGE_SECONDS": DEFAULT_EXCHANGE_SECONDS,
-            "TapeLibrary": TapeLibrary,
-        }
-        for name in fresh_shim._MOVED:
-            with pytest.warns(DeprecationWarning, match=name):
-                resolved = getattr(fresh_shim, name)
-            assert resolved is canonical[name]
-        assert sorted(fresh_shim._MOVED) == dir(fresh_shim)
-
-    def test_warns_exactly_once_per_name(self, fresh_shim):
-        with pytest.warns(DeprecationWarning) as caught:
-            fresh_shim.TapeLibrary
-        assert len(caught) == 1
-        # Second access: silent, even under -W error.
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            assert fresh_shim.TapeLibrary is TapeLibrary
-        with pytest.warns(DeprecationWarning) as caught:
-            fresh_shim.Cartridge
-        assert len(caught) == 1
-
-    def test_shim_unknown_attribute_raises(self):
-        import repro.online.library as shim
-
-        with pytest.raises(AttributeError):
-            shim.NoSuchName
-
     def test_package_reexports_stay_warning_free(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
-            from repro.library import TapeLibrary as canonical
-            from repro.online import TapeLibrary as compat  # noqa: F401
-
-            assert compat is canonical
-
-    def test_old_import_still_constructs_a_working_library(
-        self, fresh_shim, tiny
-    ):
-        with pytest.warns(DeprecationWarning):
-            library = fresh_shim.TapeLibrary(
-                [fresh_shim.Cartridge("a", tiny)]
+            from repro import api
+            from repro.library import (
+                Cartridge as library_cartridge,
+                DEFAULT_EXCHANGE_SECONDS as library_exchange,
+                TapeLibrary as library_tape_library,
             )
-        assert library.mount("a") == pytest.approx(
-            DEFAULT_EXCHANGE_SECONDS
-        )
+
+            assert library_cartridge is Cartridge is api.Cartridge
+            assert library_exchange == DEFAULT_EXCHANGE_SECONDS
+            assert library_tape_library is TapeLibrary is api.TapeLibrary
+
+    def test_retired_import_paths_are_gone(self):
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.online.library")
+        online = importlib.import_module("repro.online")
+        for name in ("Cartridge", "DEFAULT_EXCHANGE_SECONDS", "TapeLibrary"):
+            assert not hasattr(online, name)
+            assert name not in online.__all__

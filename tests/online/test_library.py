@@ -4,7 +4,7 @@ import pytest
 
 from repro.exceptions import LibraryError, UnknownTape
 from repro.geometry import tiny_tape
-from repro.online import Cartridge, TapeLibrary
+from repro.library import Cartridge, TapeLibrary
 
 
 @pytest.fixture()

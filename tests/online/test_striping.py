@@ -4,7 +4,8 @@ import pytest
 
 from repro.exceptions import LibraryError, SegmentOutOfRange
 from repro.geometry import tiny_tape
-from repro.online import Cartridge, StripeMapping, StripedTapeArray
+from repro.library import Cartridge
+from repro.online import StripeMapping, StripedTapeArray
 
 
 @pytest.fixture()

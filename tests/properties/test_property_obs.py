@@ -9,22 +9,26 @@ from repro.obs import (
     event_from_record,
     response_stats_from_events,
 )
-from repro.online import BatchPolicy, TertiaryStorageSystem
+from repro.library import label_requests
+from repro.online import BatchPolicy
 from repro.workload import TimedRequest
 
 TAPE = tiny_tape(seed=11)
 
 
-def run_instrumented(segments, max_batch):
+def run_instrumented(single_drive, segments, max_batch):
     bus = EventBus()
     recorder = TraceRecorder(bus)
-    system = TertiaryStorageSystem(
-        geometry=TAPE, bus=bus, policy=BatchPolicy(max_batch=max_batch)
+    system = single_drive(
+        TAPE, bus=bus, policy=BatchPolicy(max_batch=max_batch)
     )
-    requests = [
-        TimedRequest(float(i) * 5.0, segment)
-        for i, segment in enumerate(segments)
-    ]
+    requests = label_requests(
+        "tape",
+        [
+            TimedRequest(float(i) * 5.0, segment)
+            for i, segment in enumerate(segments)
+        ],
+    )
     stats = system.run(requests)
     return system, stats, recorder
 
@@ -38,10 +42,14 @@ def run_instrumented(segments, max_batch):
     max_batch=st.integers(min_value=1, max_value=8),
 )
 @settings(max_examples=40, deadline=None)
-def test_span_phases_sum_to_batch_execution(segments, max_batch):
+def test_span_phases_sum_to_batch_execution(
+    single_drive, segments, max_batch
+):
     """For any workload, each batch's per-phase durations partition
     its measured execution seconds (the tentpole invariant)."""
-    system, _, recorder = run_instrumented(segments, max_batch)
+    system, _, recorder = run_instrumented(
+        single_drive, segments, max_batch
+    )
     spans = recorder.batch_spans()
     assert len(spans) == len(system.batches)
     for span, record in zip(spans, system.batches):
@@ -63,10 +71,14 @@ def test_span_phases_sum_to_batch_execution(segments, max_batch):
     max_batch=st.integers(min_value=1, max_value=6),
 )
 @settings(max_examples=25, deadline=None)
-def test_stream_rebuilds_stats_and_round_trips(segments, max_batch):
+def test_stream_rebuilds_stats_and_round_trips(
+    single_drive, segments, max_batch
+):
     """The event stream is the source of truth: it reproduces the
     system's ResponseStats exactly and survives the record round-trip."""
-    _, stats, recorder = run_instrumented(segments, max_batch)
+    _, stats, recorder = run_instrumented(
+        single_drive, segments, max_batch
+    )
     rebuilt = response_stats_from_events(recorder.events)
     assert rebuilt.samples == stats.samples
     for event in recorder.events:

@@ -11,8 +11,8 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.drive import SimulatedDrive
+from repro.library import label_requests
 from repro.online.batch_queue import BatchPolicy
-from repro.online.system import TertiaryStorageSystem
 from repro.resilience import FaultInjector, FaultPlan, RetryPolicy
 from repro.scheduling import SortScheduler, execute_schedule
 from repro.workload.arrivals import PoissonArrivals
@@ -25,12 +25,12 @@ from repro.workload.arrivals import PoissonArrivals
 )
 @settings(max_examples=30, deadline=None)
 def test_every_request_completes_or_fails(
-    tiny, fault_rate, seed, max_attempts
+    tiny, single_drive, fault_rate, seed, max_attempts
 ):
     from repro.resilience import ResilienceConfig
 
-    system = TertiaryStorageSystem(
-        geometry=tiny,
+    system = single_drive(
+        tiny,
         policy=BatchPolicy(max_batch=8),
         resilience=ResilienceConfig(
             retry=RetryPolicy(max_attempts=max_attempts, seed=seed),
@@ -40,17 +40,21 @@ def test_every_request_completes_or_fails(
             locate_fault_probability=fault_rate, seed=seed
         ),
     )
-    requests = PoissonArrivals(
-        rate_per_hour=240.0, total_segments=tiny.total_segments,
-        seed=seed % 1000,
-    ).batch(600.0)
+    requests = label_requests(
+        "tape",
+        PoissonArrivals(
+            rate_per_hour=240.0, total_segments=tiny.total_segments,
+            seed=seed % 1000,
+        ).batch(600.0),
+    )
     stats = system.run(requests)
     # No silent drops: completions + surfaced failures == admissions.
     assert stats.count + len(system.failed) == len(requests)
     # The books also balance per batch.
     assert sum(r.failed for r in system.batches) >= len(system.failed)
     # The queue drained.
-    assert len(system.queue) == 0
+    assert system.queue_depth("tape") == 0
+    assert system.lost == 0
 
 
 @given(

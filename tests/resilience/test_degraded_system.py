@@ -1,12 +1,11 @@
-"""Graceful degradation in the online serving loop."""
+"""Graceful degradation in the online serving loop (one drive, one tape)."""
 
 import pytest
 
-from repro.cache.store import SegmentCache
-from repro.cache.system import CachedTertiaryStorageSystem
+from repro.cache import CachedLibrarySystem, SegmentCache
+from repro.library import label_requests
 from repro.obs import EventBus
 from repro.online.batch_queue import BatchPolicy
-from repro.online.system import TertiaryStorageSystem
 from repro.resilience import FaultPlan, ResilienceConfig, RetryPolicy
 from repro.workload.arrivals import PoissonArrivals
 
@@ -15,12 +14,16 @@ def _requests(tiny, count=40, rate=240.0, seed=0):
     arrivals = PoissonArrivals(
         rate_per_hour=rate, total_segments=tiny.total_segments, seed=seed
     )
-    return arrivals.batch(count / rate * 3600.0)
+    return label_requests("tape", arrivals.batch(count / rate * 3600.0))
 
 
-def _system(tiny, **kwargs):
-    kwargs.setdefault("policy", BatchPolicy(max_batch=8))
-    return TertiaryStorageSystem(geometry=tiny, **kwargs)
+@pytest.fixture()
+def make_system(single_drive):
+    def build(tiny, **kwargs):
+        kwargs.setdefault("policy", BatchPolicy(max_batch=8))
+        return single_drive(tiny, **kwargs)
+
+    return build
 
 
 def _permanent(failed_events):
@@ -34,10 +37,10 @@ def _permanent(failed_events):
 
 
 class TestRequeue:
-    def test_faulted_requests_requeue_then_complete(self, tiny):
+    def test_faulted_requests_requeue_then_complete(self, tiny, make_system):
         bus = EventBus()
         failed_events = bus.collect("request.failed")
-        system = _system(
+        system = make_system(
             tiny,
             bus=bus,
             resilience=ResilienceConfig(
@@ -54,12 +57,12 @@ class TestRequeue:
         assert system.failed == []
         assert _permanent(failed_events) == []
         assert system.requeues > 0
-        assert system.drive.faults_injected > 0
+        assert system.bays[0].drive.faults_injected > 0
 
-    def test_requeue_budget_exhaustion_surfaces_failures(self, tiny):
+    def test_requeue_budget_exhaustion_surfaces_failures(self, tiny, make_system):
         bus = EventBus()
         failed_events = bus.collect("request.failed")
-        system = _system(
+        system = make_system(
             tiny,
             bus=bus,
             resilience=ResilienceConfig(
@@ -78,8 +81,8 @@ class TestRequeue:
         assert system.requeues == 0
         assert len(_permanent(failed_events)) == len(system.failed)
 
-    def test_requeued_request_keeps_original_arrival(self, tiny):
-        system = _system(
+    def test_requeued_request_keeps_original_arrival(self, tiny, make_system):
+        system = make_system(
             tiny,
             resilience=ResilienceConfig(
                 retry=RetryPolicy(max_attempts=2), max_requeues=5
@@ -95,25 +98,25 @@ class TestRequeue:
         # A requeued request waits through at least one extra batch, so
         # its response time (measured from the *original* arrival)
         # exceeds anything a clean run produces.
-        clean = _system(tiny)
+        clean = make_system(tiny)
         clean_stats = clean.run(requests)
         assert stats.max_seconds > clean_stats.max_seconds
 
-    def test_without_resilience_behaviour_is_unchanged(self, tiny):
+    def test_without_resilience_behaviour_is_unchanged(self, tiny, make_system):
         requests = _requests(tiny)
-        plain = _system(tiny)
+        plain = make_system(tiny)
         plain_stats = plain.run(requests)
-        hardened = _system(tiny, resilience=ResilienceConfig())
+        hardened = make_system(tiny, resilience=ResilienceConfig())
         hardened_stats = hardened.run(requests)
         assert hardened_stats.samples == plain_stats.samples
         assert hardened.failed == []
 
 
 class TestDegradedMode:
-    def test_blown_schedule_budget_falls_back_to_sort(self, tiny):
+    def test_blown_schedule_budget_falls_back_to_sort(self, tiny, make_system):
         bus = EventBus()
         degraded_events = bus.collect("system.degraded")
-        system = _system(
+        system = make_system(
             tiny,
             bus=bus,
             resilience=ResilienceConfig(
@@ -136,10 +139,10 @@ class TestDegradedMode:
         assert "SORT" in algorithms
         assert system._active_scheduler().name == "SORT"
 
-    def test_blown_execution_budget_trips_degraded(self, tiny):
+    def test_blown_execution_budget_trips_degraded(self, tiny, make_system):
         bus = EventBus()
         degraded_events = bus.collect("system.degraded")
-        system = _system(
+        system = make_system(
             tiny,
             bus=bus,
             resilience=ResilienceConfig(
@@ -151,13 +154,13 @@ class TestDegradedMode:
         assert len(degraded_events) == 1
         assert "simulated" in degraded_events[0].reason
 
-    def test_unbudgeted_system_never_degrades(self, tiny):
-        system = _system(tiny, resilience=ResilienceConfig())
+    def test_unbudgeted_system_never_degrades(self, tiny, make_system):
+        system = make_system(tiny, resilience=ResilienceConfig())
         system.run(_requests(tiny))
         assert not system.degraded
 
-    def test_fault_plan_implies_default_resilience(self, tiny):
-        system = _system(
+    def test_fault_plan_implies_default_resilience(self, tiny, make_system):
+        system = make_system(
             tiny,
             fault_plan=FaultPlan(locate_fault_probability=0.2, seed=1),
         )
@@ -165,16 +168,16 @@ class TestDegradedMode:
         stats = system.run(_requests(tiny))
         assert stats.count + len(system.failed) == len(_requests(tiny))
 
-    def test_zero_rate_fault_plan_adds_no_wrapper(self, tiny):
+    def test_zero_rate_fault_plan_adds_no_wrapper(self, tiny, make_system):
         from repro.drive import SimulatedDrive
 
-        system = _system(tiny, fault_plan=FaultPlan())
-        assert isinstance(system.drive, SimulatedDrive)
+        system = make_system(tiny, fault_plan=FaultPlan())
+        assert isinstance(system.bays[0].drive, SimulatedDrive)
 
 
 class TestBatchAccounting:
-    def test_batch_records_carry_faults_and_failures(self, tiny):
-        system = _system(
+    def test_batch_records_carry_faults_and_failures(self, tiny, make_system):
+        system = make_system(
             tiny,
             resilience=ResilienceConfig(
                 retry=RetryPolicy(max_attempts=1), max_requeues=0
@@ -191,10 +194,10 @@ class TestBatchAccounting:
                 record.execution_seconds
             )
 
-    def test_batch_completed_events_reconcile_under_faults(self, tiny):
+    def test_batch_completed_events_reconcile_under_faults(self, tiny, make_system):
         bus = EventBus()
         completed = bus.collect("batch.complete")
-        system = _system(
+        system = make_system(
             tiny,
             bus=bus,
             resilience=ResilienceConfig(),
@@ -214,17 +217,18 @@ class TestBatchAccounting:
 
 
 class TestCachedSystemUnderFaults:
-    def test_failed_reads_are_not_admitted(self, tiny):
-        system = CachedTertiaryStorageSystem(
-            geometry=tiny,
-            policy=BatchPolicy(max_batch=8),
+    def test_failed_reads_are_not_admitted(self, tiny, make_system):
+        system = CachedLibrarySystem(
+            system=make_system(
+                tiny,
+                resilience=ResilienceConfig(
+                    retry=RetryPolicy(max_attempts=1), max_requeues=0
+                ),
+                fault_plan=FaultPlan(
+                    locate_fault_probability=0.45, seed=2
+                ),
+            ),
             cache=SegmentCache(256),
-            resilience=ResilienceConfig(
-                retry=RetryPolicy(max_attempts=1), max_requeues=0
-            ),
-            fault_plan=FaultPlan(
-                locate_fault_probability=0.45, seed=2
-            ),
         )
         requests = _requests(tiny)
         stats = system.run(requests)
@@ -240,15 +244,16 @@ class TestCachedSystemUnderFaults:
             if item.segment not in completed_segments:
                 assert item.segment not in system.cache
 
-    def test_cached_system_completes_under_faults(self, tiny):
-        system = CachedTertiaryStorageSystem(
-            geometry=tiny,
-            policy=BatchPolicy(max_batch=8),
-            cache=SegmentCache(256),
-            resilience=ResilienceConfig(max_requeues=5),
-            fault_plan=FaultPlan(
-                locate_fault_probability=0.3, seed=6
+    def test_cached_system_completes_under_faults(self, tiny, make_system):
+        system = CachedLibrarySystem(
+            system=make_system(
+                tiny,
+                resilience=ResilienceConfig(max_requeues=5),
+                fault_plan=FaultPlan(
+                    locate_fault_probability=0.3, seed=6
+                ),
             ),
+            cache=SegmentCache(256),
         )
         requests = _requests(tiny)
         stats = system.run(requests)

@@ -66,7 +66,8 @@ class TestPublicSurface:
             "bind_standard_metrics", "summarize_events",
             "response_stats_from_events", "cache_stats_from_events",
             "write_events_jsonl", "read_events_jsonl",
-            "TertiaryStorageSystem", "CachedTertiaryStorageSystem",
+            "MultiDriveSystem", "CachedLibrarySystem", "Cartridge",
+            "BatchRecord", "label_requests",
             "SimulatedDrive", "execute_schedule", "get_scheduler",
             "generate_tape", "LocateTimeModel", "SegmentCache",
             "BatchPolicy", "TapeLibrary", "result_to_rows",
@@ -81,11 +82,11 @@ class TestPublicSurface:
     def test_facade_names_are_canonical_objects(self):
         # The facade re-exports, never wraps.
         from repro import api
+        from repro.library import MultiDriveSystem
         from repro.obs import EventBus
-        from repro.online import TertiaryStorageSystem
 
         assert api.EventBus is EventBus
-        assert api.TertiaryStorageSystem is TertiaryStorageSystem
+        assert api.MultiDriveSystem is MultiDriveSystem
 
     def test_observability_quickstart_runs(self, tiny):
         # The docs/OBSERVABILITY.md hook-API snippet, on a tiny tape.
@@ -95,8 +96,15 @@ class TestPublicSurface:
         bus = api.EventBus()
         recorder = api.TraceRecorder(bus)
         registry = api.bind_standard_metrics(bus)
-        system = api.TertiaryStorageSystem(geometry=tiny, bus=bus)
-        stats = system.run([TimedRequest(0.0, 7), TimedRequest(1.0, 80)])
+        system = api.MultiDriveSystem(
+            [api.Cartridge("tape", tiny)], drives=1, preload=["tape"],
+            bus=bus,
+        )
+        stats = system.run(
+            api.label_requests(
+                "tape", [TimedRequest(0.0, 7), TimedRequest(1.0, 80)]
+            )
+        )
         assert stats.count == 2
         assert recorder.summary().request_count == 2
         assert registry.histogram("request.response_seconds").count == 2
@@ -104,18 +112,25 @@ class TestPublicSurface:
     def test_cache_quickstart_runs(self, tiny):
         # The docs/CACHING.md composition snippet, on a tiny tape.
         from repro import (
-            CachedTertiaryStorageSystem,
+            CachedLibrarySystem,
+            Cartridge,
             GDSFPolicy,
+            MultiDriveSystem,
             SegmentCache,
+            label_requests,
         )
         from repro.workload import TimedRequest
 
-        system = CachedTertiaryStorageSystem(
-            geometry=tiny,
+        system = CachedLibrarySystem(
+            system=MultiDriveSystem(
+                [Cartridge("tape", tiny)], drives=1, preload=["tape"]
+            ),
             cache=SegmentCache(64, policy=GDSFPolicy()),
         )
         stats = system.run(
-            [TimedRequest(0.0, 7), TimedRequest(9000.0, 7)]
+            label_requests(
+                "tape", [TimedRequest(0.0, 7), TimedRequest(9000.0, 7)]
+            )
         )
         assert stats.count == 2
         assert system.cache_stats.hits == 1

@@ -79,12 +79,12 @@ class TestBatchConversion:
         assert [r.segment for r in trace] == [5, 9, 2]
         assert all(r.arrival_seconds == 3.0 for r in trace)
 
-    def test_replay_through_online_system(self, tmp_path):
+    def test_replay_through_online_system(self, tmp_path, single_drive):
         from repro.geometry import tiny_tape
-        from repro.online import TertiaryStorageSystem
+        from repro.library import label_requests
 
         trace = trace_from_batch([5, 60, 120])
         path = save_trace(trace, tmp_path / "batch.jsonl")
-        system = TertiaryStorageSystem(geometry=tiny_tape(seed=2))
-        stats = system.run(load_trace(path))
+        system = single_drive(tiny_tape(seed=2))
+        stats = system.run(label_requests("tape", load_trace(path)))
         assert stats.count == 3
