@@ -32,6 +32,21 @@ class TapeDrive(Protocol):
         """Accumulated elapsed mechanism time."""
         ...
 
+    def plan_locates(self, sources, segments) -> None:
+        """Announce the hops ``sources[k] -> segments[k]`` about to run.
+
+        The executor calls this once per schedule, before the first
+        :meth:`locate`.  A drive may price the whole sequence in one
+        vectorized ``model.times`` call and use those times for the
+        matching locates.  That is only sound under the model's
+        batching contract: ``times(s, d)[k] == locate_time(s[k],
+        d[k])`` bit for bit, and a model is a pure function of
+        ``(source, destination)``.  Planning must not move the head,
+        advance the clock or consume fault draws; a locate off the
+        plan is priced as if no plan had been made.
+        """
+        ...
+
     def locate(self, segment: int) -> float:
         """Position the head to read ``segment``; return seconds taken."""
         ...

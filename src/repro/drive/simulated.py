@@ -71,6 +71,9 @@ class SimulatedDrive:
         #: Optional :class:`repro.obs.bus.EventBus` receiving one
         #: ``drive.op`` event per primitive operation.
         self.bus = bus
+        # Locate seconds of the planned hops, keyed (source, segment)
+        # (see plan_locates).
+        self._planned: dict[tuple[int, int], float] = {}
 
     # -- state ---------------------------------------------------------------
 
@@ -134,10 +137,43 @@ class SimulatedDrive:
 
     # -- operations ------------------------------------------------------------
 
+    def plan_locates(self, sources, segments) -> None:
+        """Price a known hop sequence in one vectorized model call.
+
+        ``sources[k] -> segments[k]`` are the locates a caller is about
+        to make, in order (the executor passes a schedule's origin and
+        out-positions).  A later :meth:`locate` whose ``(position,
+        segment)`` is a planned hop takes its time from this plan; any
+        other hop prices itself with a scalar ``model.locate_time``.
+        The times come from the drive's own model, and the model's
+        batching contract (``times(s, d)[k] == locate_time(s[k],
+        d[k])``, bit for bit) makes both routes identical.  A new plan
+        replaces the previous one; hops off the tape are left out so
+        :meth:`locate` still rejects them.
+        """
+        sources = np.asarray(sources, dtype=np.int64)
+        segments = np.asarray(segments, dtype=np.int64)
+        total = self.geometry.total_segments
+        on_tape = (
+            (sources >= 0) & (sources < total)
+            & (segments >= 0) & (segments < total)
+        )
+        if not on_tape.all():
+            sources, segments = sources[on_tape], segments[on_tape]
+        seconds = self.model.times(sources, segments)
+        self._planned = dict(
+            zip(
+                zip(sources.tolist(), segments.tolist()),
+                seconds.tolist(),
+            )
+        )
+
     def locate(self, segment: int) -> float:
         """Position the head to read ``segment``."""
         self.geometry.check_segment(segment)
-        duration = self.model.locate_time(self._position, segment)
+        duration = self._planned.get((self._position, segment))
+        if duration is None:
+            duration = self.model.locate_time(self._position, segment)
         if self.wear_meter is not None:
             self.wear_meter.add_travel(
                 float(

@@ -30,14 +30,6 @@ class LibraryRequest:
     segment: int
     length: int = 1
 
-    def timed(self) -> TimedRequest:
-        """The per-tape view (drops the label) for a batch queue."""
-        return TimedRequest(
-            arrival_seconds=self.arrival_seconds,
-            segment=self.segment,
-            length=self.length,
-        )
-
 
 def label_requests(
     label: str, requests: Iterable[TimedRequest]

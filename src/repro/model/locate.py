@@ -118,8 +118,15 @@ class LocateTimeModel:
         """Elementwise locate times for paired source/destination arrays.
 
         ``sources[k] -> destinations[k]`` for each ``k``; used by the
-        schedule estimator to cost a whole schedule in one vectorized
-        call.
+        schedule estimator to cost a whole schedule, and by
+        :meth:`~repro.drive.simulated.SimulatedDrive.plan_locates` to
+        price a schedule's ground-truth hops, in one vectorized call.
+
+        This is the batching contract every model honours:
+        ``times(s, d)[k] == locate_time(s[k], d[k])`` bit for bit, and
+        the result is a pure function of ``(source, destination)``.
+        ``_times`` is elementwise IEEE arithmetic, so the batch and the
+        one-element scalar call round identically.
         """
         sources = np.asarray(sources, dtype=np.int64)
         destinations = np.asarray(destinations, dtype=np.int64)

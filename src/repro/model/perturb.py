@@ -27,7 +27,15 @@ from repro.model.locate import LocateTimeModel
 
 
 class ModelWrapper:
-    """Base class: delegates to a wrapped model, transforms its output."""
+    """Base class: delegates to a wrapped model, transforms its output.
+
+    A subclass's ``_transform`` must keep the batching contract of
+    :meth:`LocateTimeModel.times`: elementwise, and a pure function of
+    ``(source, destination, time)``, so ``times(s, d)[k] ==
+    locate_time(s[k], d[k])`` bit for bit.  Noise and faults are
+    therefore per-pair hashes, never draws from a stream; the drive
+    relies on this when it prices a whole schedule in one call.
+    """
 
     def __init__(self, base: LocateTimeModel) -> None:
         self.base = base

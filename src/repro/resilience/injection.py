@@ -198,6 +198,14 @@ class FaultInjector:
 
     # -- operations ----------------------------------------------------------
 
+    def plan_locates(self, sources, segments) -> None:
+        """Hand a known hop sequence to the wrapped drive.
+
+        Planning draws nothing: each :meth:`locate` and :meth:`read`
+        still draws exactly once, in call order.
+        """
+        self.inner.plan_locates(sources, segments)
+
     def locate(self, segment: int) -> float:
         """Position the head, or raise a locate fault / drive reset."""
         self.geometry.check_segment(segment)

@@ -26,19 +26,30 @@ from repro.scheduling.schedule import Schedule
 from repro.drive.simulated import TRACK_TURNAROUND_SECONDS
 
 
+def locate_sources(schedule: Schedule, total_segments: int) -> np.ndarray:
+    """Head position before each request's locate, in execution order.
+
+    ``schedule.origin`` for the first request, then the out-position of
+    the request before (clamped at the last segment of the tape).
+    """
+    segments = schedule.segments()
+    if segments.size == 0:
+        return np.zeros(0, dtype=np.int64)
+    lengths = request_lengths(schedule.requests)
+    return np.concatenate(
+        (
+            np.asarray([schedule.origin], dtype=np.int64),
+            out_positions(segments[:-1], lengths[:-1], total_segments),
+        )
+    )
+
+
 def locate_sequence_times(model, schedule: Schedule) -> np.ndarray:
     """Per-request locate times of a schedule, in execution order."""
     segments = schedule.segments()
     if segments.size == 0:
         return np.zeros(0, dtype=np.float64)
-    lengths = request_lengths(schedule.requests)
-    total = model.geometry.total_segments
-    sources = np.concatenate(
-        (
-            np.asarray([schedule.origin], dtype=np.int64),
-            out_positions(segments[:-1], lengths[:-1], total),
-        )
-    )
+    sources = locate_sources(schedule, model.geometry.total_segments)
     return model.times(sources, segments)
 
 

@@ -5,6 +5,13 @@ same :class:`~repro.scheduling.schedule.Schedule` can be *estimated*
 (with :mod:`repro.scheduling.estimator` against a model) and *executed*
 (here, against a drive whose locate times may deviate from that model).
 
+Before the first locate, the executor hands the drive the schedule's
+planned hops (``schedule.origin``, then each request's out-position,
+from :func:`~repro.scheduling.estimator.locate_sources`), and the drive
+prices them in one vectorized model call.  Every request still makes
+one ``locate`` and one ``read``, so the drive's bookkeeping, fault
+draws and events are those of the scalar path, bit for bit.
+
 With a ``bus`` attached, execution publishes one
 :class:`~repro.obs.events.RequestLocated` and
 :class:`~repro.obs.events.RequestRead` per request; when the caller
@@ -40,6 +47,7 @@ from repro.obs.events import (
     RequestRead,
     RequestRetried,
 )
+from repro.scheduling.estimator import locate_sources
 from repro.scheduling.schedule import Schedule
 
 
@@ -183,6 +191,11 @@ def execute_schedule(
         )
     if schedule.whole_tape:
         return _execute_whole_tape(drive, schedule, bus, base_seconds)
+    if len(schedule):
+        drive.plan_locates(
+            locate_sources(schedule, drive.geometry.total_segments),
+            schedule.segments(),
+        )
     if policy is not None:
         return _execute_hardened(
             drive, schedule, policy, bus, estimated_locate_seconds,

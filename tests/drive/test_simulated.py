@@ -5,7 +5,7 @@ import pytest
 from repro.constants import SEGMENT_TRANSFER_SECONDS
 from repro.drive import DriveEvent, EventKind, SimulatedDrive
 from repro.exceptions import DriveError, SegmentOutOfRange
-from repro.model import rewind_time
+from repro.model import LocateTimeModel, rewind_time
 
 
 @pytest.fixture()
@@ -28,6 +28,55 @@ class TestLocate:
         assert drive.clock_seconds == pytest.approx(first + second)
 
     def test_rejects_bad_segment(self, drive, tiny):
+        with pytest.raises(SegmentOutOfRange):
+            drive.locate(tiny.total_segments)
+
+
+class CountingModel(LocateTimeModel):
+    """Counts the scalar ``locate_time`` calls the drive makes."""
+
+    scalar_calls = 0
+
+    def locate_time(self, source, destination):
+        self.scalar_calls += 1
+        return super().locate_time(source, destination)
+
+
+class TestPlanLocates:
+    def test_planned_hops_skip_the_scalar_call(self, tiny, tiny_model):
+        model = CountingModel(tiny)
+        drive = SimulatedDrive(model)
+        drive.plan_locates([0, 51], [50, 10])
+        first = drive.locate(50)
+        drive.read(1)
+        second = drive.locate(10)
+        assert model.scalar_calls == 0
+        assert first == tiny_model.locate_time(0, 50)
+        assert second == tiny_model.locate_time(51, 10)
+
+    def test_off_plan_hop_falls_back(self, tiny, tiny_model):
+        model = CountingModel(tiny)
+        drive = SimulatedDrive(model)
+        drive.plan_locates([0], [50])
+        assert drive.locate(70) == tiny_model.locate_time(0, 70)
+        assert model.scalar_calls == 1
+
+    def test_new_plan_replaces_the_old(self, tiny):
+        model = CountingModel(tiny)
+        drive = SimulatedDrive(model)
+        drive.plan_locates([0], [50])
+        drive.plan_locates([0], [60])
+        drive.locate(50)
+        assert model.scalar_calls == 1
+
+    def test_planning_moves_nothing(self, drive):
+        drive.plan_locates([0, 51], [50, 10])
+        assert drive.position == 0
+        assert drive.clock_seconds == 0.0
+        assert drive.events == []
+
+    def test_off_tape_hops_still_raise(self, drive, tiny):
+        drive.plan_locates([0], [tiny.total_segments])
         with pytest.raises(SegmentOutOfRange):
             drive.locate(tiny.total_segments)
 

@@ -6,18 +6,9 @@ from repro.library.requests import (
     LibraryRequest,
     poisson_library_stream,
 )
-from repro.workload.arrivals import TimedRequest
 
 
 class TestLibraryRequest:
-    def test_timed_drops_the_label(self):
-        request = LibraryRequest(
-            arrival_seconds=3.5, label="alpha", segment=42, length=2
-        )
-        assert request.timed() == TimedRequest(
-            arrival_seconds=3.5, segment=42, length=2
-        )
-
     def test_default_length(self):
         request = LibraryRequest(0.0, "a", 1)
         assert request.length == 1
