@@ -2,7 +2,8 @@
 
 Not figures from the paper — these track the cost of the primitives the
 simulation studies hammer: vectorized locate-time evaluation, distance
-matrix construction, and single-schedule generation per algorithm.
+matrix construction, the LOSS edge-selection kernel, and
+single-schedule generation per algorithm.
 """
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 
 from repro.geometry import generate_tape
 from repro.model import LocateTimeModel, schedule_distance_matrix
-from repro.scheduling import get_scheduler
+from repro.scheduling import get_scheduler, loss_path_fragments
 from repro.workload import UniformWorkload, trial_state, trial_workload
 
 #: Entry-point seed for the benchmark's own segment sampling.
@@ -56,6 +57,20 @@ def test_trial_workload_batch_16(benchmark, setup):
 
     origin, batch = benchmark(one_trial)
     assert len(batch) == 16
+
+
+@pytest.mark.parametrize("m", [9, 33, 129])
+def test_loss_kernel(benchmark, setup, m):
+    # LOSS's max-loss edge loop alone, on the square matrix LossScheduler
+    # builds for m - 1 request groups: the paper's online batch sizes
+    # give m of about 10 to 30 after coalescing.
+    tape, model = setup
+    rng = np.random.default_rng(SAMPLE_SEED)
+    segments = rng.choice(tape.total_segments, m - 1, replace=False)
+    square = np.full((m, m), np.inf)
+    square[:, 1:] = schedule_distance_matrix(model, 0, segments)
+    fragments = benchmark(loss_path_fragments, square)
+    assert len(fragments) == 1 and sorted(fragments[0]) == list(range(m))
 
 
 @pytest.mark.parametrize(

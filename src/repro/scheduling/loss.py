@@ -19,7 +19,10 @@ uniformly random requests.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
+from itertools import compress
+from operator import le
 
 import numpy as np
 
@@ -33,6 +36,8 @@ from repro.scheduling.coalesce import (
     expand_groups,
 )
 from repro.scheduling.request import Request
+
+_INF = math.inf
 
 
 def loss_path(distance: np.ndarray) -> list[int]:
@@ -68,100 +73,144 @@ def loss_path_fragments(distance: np.ndarray) -> list[list[int]]:
 
     Fragments are returned head-first; the fragment starting with node
     0 (if any edges were added at all) comes first.
+
+    Every row's and column's two smallest entries are found once, in
+    one ``np.partition`` per axis.  After that the matrix is held as
+    Python lists, and committing an edge ``u -> v`` recomputes only
+    the rows and columns whose two smallest entries it touched: the
+    columns where row ``u``'s dead entry was at most their second
+    smallest, the rows likewise for column ``v``, and the row and
+    column of the closed tail-to-head cell.  That is ``O(m)`` per step
+    when few lines are touched, ``O(m^2)`` when all are.
+
+    Ties resolve as in a plain numpy formulation of the rule: the
+    first city of largest loss, the first index of a line's minimum,
+    and the out-edge when a city's out-loss equals its in-loss.
     """
     m = distance.shape[0]
     if distance.shape != (m, m):
         raise SchedulingError("distance matrix must be square")
+    if m == 0:
+        return []
+    work = distance.astype(np.float64, copy=True)
+    # min() propagates NaN, so one reduction catches NaN and -inf.
+    if not work.min() > -np.inf:
+        raise SchedulingError("distance matrix has a NaN or -inf entry")
     if m == 1:
         return [[0]]
-    work = distance.astype(np.float64, copy=True)
     np.fill_diagonal(work, np.inf)
     work[:, 0] = np.inf
 
-    successor = np.full(m, -1, dtype=np.int64)
-    predecessor = np.full(m, -1, dtype=np.int64)
-    # Path-fragment bookkeeping: every node starts as a singleton
-    # fragment; head/tail are tracked at the fragment representative.
-    parent = np.arange(m, dtype=np.int64)
-    head = np.arange(m, dtype=np.int64)
-    tail = np.arange(m, dtype=np.int64)
+    row_best, row_second = np.partition(work, 1, axis=1)[:, :2].T.tolist()
+    col_best, col_second = np.partition(work, 1, axis=0)[:2].tolist()
+    row_arg = work.argmin(axis=1).tolist()
+    col_arg = work.argmin(axis=0).tolist()
+    rows = work.tolist()
+    cols = list(map(list, zip(*rows)))
+    out_loss = list(map(_loss, row_best, row_second))
+    in_loss = list(map(_loss, col_best, col_second))
+    score = list(map(max, out_loss, in_loss))
 
-    def find(node: int) -> int:
-        root = node
-        while parent[root] != root:
-            root = parent[root]
-        while parent[node] != root:
-            parent[node], node = root, parent[node]
-        return root
+    successor = [-1] * m
+    predecessor = [-1] * m
+    # Every node starts as a singleton fragment.  An edge always runs
+    # from a fragment's tail to another fragment's head, so the head of
+    # each tail and the tail of each head are all the bookkeeping the
+    # path constraints need.
+    head_of = list(range(m))
+    tail_of = list(range(m))
 
     for _ in range(m - 1):
-        edge = _select_edge(work)
-        if edge is None:
+        city = score.index(max(score))
+        if score[city] == -_INF:
             break
-        u, v = edge
+        if out_loss[city] >= in_loss[city]:
+            u, v = city, row_arg[city]
+        else:
+            u, v = col_arg[city], city
         successor[u] = v
         predecessor[v] = u
-        work[u, :] = np.inf
-        work[:, v] = np.inf
-        root_u, root_v = find(u), find(v)
-        parent[root_v] = root_u
-        new_head, new_tail = head[root_u], tail[root_v]
-        head[root_u], tail[root_u] = new_head, new_tail
+        new_head, new_tail = head_of[u], tail_of[v]
+        tail_of[new_head], head_of[new_tail] = new_tail, new_head
+
+        # Row u and column v die: mark them so they never recompute,
+        # then find the lines whose two smallest entries they held.
+        row_second[u] = col_second[v] = -_INF
+        out_loss[u] = in_loss[v] = -_INF
+        dirty_cols = _touched(rows[u], col_second)
+        dirty_rows = _touched(cols[v], row_second)
+        for col in cols:
+            col[u] = _INF
+        for row in rows:
+            row[v] = _INF
         # Forbid closing the fragment into a cycle.
-        work[new_tail, new_head] = np.inf
+        closed = rows[new_tail][new_head]
+        if closed != _INF:
+            rows[new_tail][new_head] = cols[new_head][new_tail] = _INF
+            if closed <= row_second[new_tail]:
+                dirty_rows.append(new_tail)
+            if closed <= col_second[new_head]:
+                dirty_cols.append(new_head)
+
+        for i in dirty_rows:
+            best, row_second[i], row_arg[i] = _two_smallest(rows[i])
+            out_loss[i] = _loss(best, row_second[i])
+        for j in dirty_cols:
+            best, col_second[j], col_arg[j] = _two_smallest(cols[j])
+            in_loss[j] = _loss(best, col_second[j])
+        for node in (u, v, *dirty_rows, *dirty_cols):
+            score[node] = max(out_loss[node], in_loss[node])
 
     fragments: list[list[int]] = []
     for node in range(m):
         if predecessor[node] != -1:
             continue
         fragment = [node]
-        cursor = int(successor[node])
+        cursor = successor[node]
         while cursor != -1:
             fragment.append(cursor)
-            cursor = int(successor[cursor])
+            cursor = successor[cursor]
         fragments.append(fragment)
     fragments.sort(key=lambda fragment: fragment[0] != 0)
     return fragments
 
 
-def _select_edge(work: np.ndarray) -> tuple[int, int] | None:
-    """Pick the next edge by the max-loss rule; None when exhausted."""
-    with np.errstate(invalid="ignore"):
-        row_two = np.partition(work, 1, axis=1)[:, :2]
-        col_two = np.partition(work, 1, axis=0)[:2, :]
-        out_loss = row_two[:, 1] - row_two[:, 0]
-        in_loss = col_two[1, :] - col_two[0, :]
-    out_loss = _sanitize_loss(out_loss, row_two[:, 0], row_two[:, 1])
-    in_loss = _sanitize_loss(in_loss, col_two[0, :], col_two[1, :])
+def _touched(line: list[float], seconds: list[float]) -> list[int]:
+    """Crossing lines whose two smallest entries a dying line may hold.
 
-    loss = np.maximum(out_loss, in_loss)
-    city = int(np.argmax(loss))
-    if loss[city] == -np.inf:
-        return None
-    if out_loss[city] >= in_loss[city]:
-        u = city
-        v = int(np.argmin(work[city, :]))
-    else:
-        v = city
-        u = int(np.argmin(work[:, city]))
-    return u, v
+    ``line`` is a row (or column) about to die; ``line[k]`` is its cell
+    in crossing line ``k``, whose current second-smallest entry is
+    ``seconds[k]`` (-inf once that line is dead).  A cell no larger
+    than the second smallest may be the smallest or the second
+    smallest, so line ``k`` must be recomputed; a +inf cell never
+    needs it, since killing it changes nothing.
+    """
+    hits = compress(range(len(line)), map(le, line, seconds))
+    return [k for k in hits if line[k] != _INF]
 
 
-def _sanitize_loss(
-    loss: np.ndarray, best: np.ndarray, second: np.ndarray
-) -> np.ndarray:
-    """Resolve the inf arithmetic of exhausted/forced cities.
+def _two_smallest(values: list[float]) -> tuple[float, float, int]:
+    """A line's smallest and second-smallest entry and first argmin."""
+    best = min(values)
+    index = values.index(best)
+    values[index] = _INF
+    second = min(values)
+    values[index] = best
+    return best, second, index
+
+
+def _loss(best: float, second: float) -> float:
+    """A city's loss on one side from that side's two smallest edges.
 
     A city with no remaining candidate edge cannot be selected
     (loss -inf); a city with exactly one candidate is forced
     (loss +inf).
     """
-    loss = loss.copy()
-    no_candidate = ~np.isfinite(best)
-    forced = np.isfinite(best) & ~np.isfinite(second)
-    loss[no_candidate] = -np.inf
-    loss[forced] = np.inf
-    return loss
+    if best == _INF:
+        return -_INF
+    if second == _INF:
+        return _INF
+    return second - best
 
 
 @register

@@ -10,6 +10,7 @@ from repro.scheduling import (
     RawLossScheduler,
     SltfScheduler,
     loss_path,
+    loss_path_fragments,
 )
 
 
@@ -64,6 +65,50 @@ class TestLossPath:
     def test_rejects_non_square(self):
         with pytest.raises(SchedulingError):
             loss_path(np.zeros((3, 4)))
+
+    def test_rejects_nan_edge(self):
+        # A NaN edge has no place in the order of edge costs; it is
+        # rejected rather than committed (here it would be 0 -> 2).
+        inf = np.inf
+        matrix = np.array(
+            [[inf, 1, np.nan], [inf, inf, 2], [inf, 3, inf]]
+        )
+        with pytest.raises(SchedulingError, match="NaN"):
+            loss_path_fragments(matrix)
+
+    def test_rejects_negative_infinity_edge(self):
+        # A -inf edge would make its row and column score like lines
+        # with no candidate edge, which can leave disconnected
+        # fragments; it is rejected instead.
+        inf = np.inf
+        matrix = np.array(
+            [[inf, 1, -inf], [inf, inf, 2], [inf, 3, inf]]
+        )
+        with pytest.raises(SchedulingError, match="-inf"):
+            loss_path_fragments(matrix)
+        with pytest.raises(SchedulingError, match="-inf"):
+            loss_path(matrix)
+
+    def test_partitions_once_per_axis_not_per_step(self, monkeypatch):
+        # The two smallest entries of every row and column are found
+        # once up front; each committed edge then updates only the
+        # lines it touched, with no per-step numpy partition.
+        calls = []
+        partition = np.partition
+
+        def spy(*args, **kwargs):
+            calls.append(kwargs.get("axis"))
+            return partition(*args, **kwargs)
+
+        monkeypatch.setattr(np, "partition", spy)
+        rng = np.random.default_rng(0)
+        axes = {}
+        for size in (8, 64):
+            calls.clear()
+            order = loss_path(rng.uniform(1.0, 100.0, size=(size, size)))
+            assert sorted(order) == list(range(1, size))
+            axes[size] = sorted(calls)
+        assert axes == {8: [0, 1], 64: [0, 1]}
 
 
 def _path_cost(matrix, order):
