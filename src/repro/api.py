@@ -15,18 +15,22 @@ one import, so downstream code can write::
 and stay insulated from internal module moves: names re-exported here
 are stable across releases (see ``docs/API.md`` for the signatures and
 the deprecation policy), while importing from deep module paths may
-break when internals are reorganized — such moves keep the old path
-working for one release behind a :class:`DeprecationWarning` shim (see
-``repro.drive.events``).
+break when internals are reorganized.  This module is the one place
+that decides what is public: the top-level :mod:`repro` package
+re-exports exactly this ``__all__``, plus ``api`` itself.
 
 The facade groups:
 
-* **geometry / model** — synthetic cartridges and the locate-time model;
+* **geometry / model** — synthetic cartridges, key-point calibration,
+  the locate-time model and its perturbations;
+* **drive** — the simulated drive and the ground-truth stand-in for the
+  physical DLT4000;
 * **scheduling** — the paper's eight algorithms, the LTSP frontier
   solvers (exact, repair, sweep, greedy), schedules, execution;
 * **online** — the batching service loop (the robotic library's
   :class:`~repro.library.MultiDriveSystem`, one preloaded drive for the
-  paper's single-tape setting) and the staging-cache front-end;
+  paper's single-tape setting) and the staging-cache front-end with
+  its eviction and admission policies;
 * **serving** — the SLA-aware gateway of :mod:`repro.serve` (tenants,
   fairness, backpressure, typed shedding) and its deterministic
   multi-tenant load generator — the entry point external callers are
@@ -40,19 +44,34 @@ The facade groups:
 
 from __future__ import annotations
 
-import warnings
-
 from repro._version import __version__
-from repro.cache.library_tier import CachedLibrarySystem
-from repro.cache.store import SegmentCache
-from repro.drive.simulated import SimulatedDrive
+from repro.cache import (
+    AdmissionPolicy,
+    AlwaysAdmit,
+    CachedLibrarySystem,
+    CostThresholdAdmission,
+    EvictionPolicy,
+    FIFOPolicy,
+    FrequencyThresholdAdmission,
+    GDSFPolicy,
+    LRUPolicy,
+    SegmentCache,
+)
+from repro.drive import (
+    SimulatedDrive,
+    ground_truth_drive,
+    ground_truth_model,
+)
 from repro.exceptions import (
     AdmissionRejected,
+    BatchTooLarge,
     CacheError,
     DeadlineExpired,
     DriveError,
     DriveFault,
     DriveReset,
+    EmptyBatchError,
+    GeometryError,
     LintError,
     LocateFault,
     MetricsError,
@@ -60,6 +79,7 @@ from repro.exceptions import (
     ReadFault,
     ReproError,
     SchedulingError,
+    SegmentOutOfRange,
     ServeError,
     TenantOverloaded,
     TraceError,
@@ -69,10 +89,23 @@ from repro.lint import Finding, LintRun, ProjectGraph, flow_rules, run_lint
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.export import result_to_rows, write_result
 from repro.experiments.result import TabularResult
-from repro.geometry.generator import generate_tape, tiny_tape
-from repro.geometry.tape import TapeGeometry
-from repro.model.linearize import LinearizedModel
-from repro.model.locate import LocateTimeModel
+from repro.geometry import (
+    TapeGeometry,
+    calibrate_key_points,
+    generate_tape,
+    geometry_from_key_points,
+    make_tape_pair,
+    tiny_tape,
+)
+from repro.model import (
+    EvenOddPerturbation,
+    LinearizedModel,
+    LocateCase,
+    LocateTimeModel,
+    ShortLocateDeviation,
+    classify,
+    rewind_time,
+)
 from repro.obs import (
     EventBus,
     MetricsRegistry,
@@ -119,13 +152,23 @@ from repro.resilience import (
     ResilienceConfig,
     RetryPolicy,
 )
-from repro.scheduling.base import (
+from repro.scheduling import (
+    AutoScheduler,
+    ExecutionResult,
+    FifoScheduler,
+    LossScheduler,
+    OptScheduler,
+    ReadEntireTapeScheduler,
+    ScanScheduler,
     Scheduler,
+    SltfScheduler,
+    SortScheduler,
+    WeaveScheduler,
+    estimate_schedule_seconds,
+    execute_schedule,
     get_scheduler,
     scheduler_names,
 )
-from repro.scheduling.estimator import estimate_schedule_seconds
-from repro.scheduling.executor import ExecutionResult, execute_schedule
 from repro.scheduling.ltsp import (
     LtspExactScheduler,
     LtspGreedyScheduler,
@@ -156,33 +199,49 @@ from repro.workload.arrivals import (
 )
 
 __all__ = [
+    "AdmissionPolicy",
     "AdmissionRejected",
+    "AlwaysAdmit",
+    "AutoScheduler",
     "BatchPolicy",
     "BatchQueue",
     "BatchRecord",
+    "BatchTooLarge",
     "CacheError",
     "CacheStats",
     "CachedLibrarySystem",
     "Cartridge",
+    "CostThresholdAdmission",
     "DeadlineBatchPolicy",
     "DeadlineExpired",
     "DriveError",
     "DriveFault",
     "DriveReset",
+    "EmptyBatchError",
+    "EvenOddPerturbation",
     "EventBus",
-    "Gateway",
+    "EvictionPolicy",
     "ExecutionResult",
     "ExperimentConfig",
+    "FIFOPolicy",
     "FaultInjector",
     "FaultPlan",
+    "FifoScheduler",
     "Finding",
+    "FrequencyThresholdAdmission",
+    "GDSFPolicy",
+    "Gateway",
+    "GeometryError",
+    "LRUPolicy",
     "LibraryRequest",
     "LinearizedModel",
     "LintError",
     "LintRun",
+    "LocateCase",
     "LocateFault",
     "LocateTimeModel",
     "LogicalRead",
+    "LossScheduler",
     "LtspExactScheduler",
     "LtspGreedyScheduler",
     "LtspRepairScheduler",
@@ -192,24 +251,31 @@ __all__ = [
     "MetricsRegistry",
     "MultiDriveSystem",
     "NoSamplesError",
+    "OptScheduler",
     "PoissonArrivals",
     "ProjectGraph",
+    "ReadEntireTapeScheduler",
     "ReadFault",
     "ReproError",
     "Request",
     "ResilienceConfig",
     "ResponseStats",
     "RetryPolicy",
+    "ScanScheduler",
     "Schedule",
     "Scheduler",
     "SchedulingError",
     "SegmentCache",
+    "SegmentOutOfRange",
     "ServeConfig",
     "ServeError",
     "ServeReport",
     "ServeRequest",
     "ShedRecord",
+    "ShortLocateDeviation",
     "SimulatedDrive",
+    "SltfScheduler",
+    "SortScheduler",
     "StripedReadCoordinator",
     "StripedVolume",
     "TabularResult",
@@ -224,29 +290,37 @@ __all__ = [
     "TraceRecorder",
     "TraceSummary",
     "UnknownTenant",
+    "WeaveScheduler",
     "ZipfArrivals",
     "__version__",
     "arm_policy_names",
     "assignment_policy_names",
     "bind_standard_metrics",
     "cache_stats_from_events",
+    "calibrate_key_points",
+    "classify",
     "estimate_schedule_seconds",
     "exact_ltsp_order",
     "exchange_policy_names",
     "execute_schedule",
     "flow_rules",
     "generate_tape",
+    "geometry_from_key_points",
     "get_arm_policy",
     "get_assignment_policy",
     "get_exchange_policy",
     "get_scheduler",
+    "ground_truth_drive",
+    "ground_truth_model",
     "label_requests",
     "linear_deadhead_sections",
     "load_serve_trace",
+    "make_tape_pair",
     "poisson_library_stream",
     "read_events_jsonl",
     "response_stats_from_events",
     "result_to_rows",
+    "rewind_time",
     "run_lint",
     "save_serve_trace",
     "scheduler_names",
@@ -258,37 +332,3 @@ __all__ = [
     "write_result",
     "zipf_serve_stream",
 ]
-
-#: Names demoted from the facade (they were observability internals,
-#: not blessed entry points).  Importing them from here still works
-#: but warns once; use ``repro.obs`` directly.
-_MOVED = ("Subscription", "event_from_record")
-
-#: Names whose deprecation has already been announced.  The guard
-#: makes the warning fire exactly once per name per process, however
-#: the caller's warning filters are configured — repeated accesses on
-#: a hot path must not spam (or, under ``-W error``, crash) the run.
-_warned: set[str] = set()
-
-
-def __getattr__(name: str):
-    if name in _MOVED:
-        if name not in _warned:
-            _warned.add(name)
-            warnings.warn(
-                f"repro.api.{name} is no longer part of the public "
-                "facade; import it from repro.obs instead (this "
-                "fallback will be removed in a future release)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        from repro import obs
-
-        return getattr(obs, name)
-    raise AttributeError(
-        f"module {__name__!r} has no attribute {name!r}"
-    )
-
-
-def __dir__() -> list[str]:
-    return sorted([*__all__, *_MOVED])

@@ -134,13 +134,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--legacy-seeds", action="store_true",
-        help=(
-            "replay the pre-parallel sequential lrand48 stream "
-            "(serial only) instead of derived per-trial seed streams"
-        ),
-    )
-    parser.add_argument(
         "--chart", action="store_true",
         help="also render figures 4/5 as ASCII log-log charts",
     )
@@ -358,6 +351,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _export(result, out: str | None) -> None:
+    """Write ``result`` to ``out`` (.csv or .json) when one is given."""
+    if out is None:
+        return
+    from repro.experiments.export import write_result
+
+    written = write_result(result, out)
+    print(f"exported to {written}")
+
+
 def run_experiment(
     name: str,
     config: ExperimentConfig,
@@ -378,11 +381,7 @@ def run_experiment(
 
         print(render_per_locate_result(result))
         print()
-    if out is not None:
-        from repro.experiments.export import write_result
-
-        written = write_result(result, out)
-        print(f"exported to {written}")
+    _export(result, out)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -400,17 +399,19 @@ def main(argv: Sequence[str] | None = None) -> int:
         parser.error("--cache-capacity must be >= 1 segment")
     if args.workers < 0:
         parser.error("--workers must be >= 0 (0 = all CPUs)")
-    if args.legacy_seeds and args.workers not in (0, 1):
-        parser.error(
-            "--legacy-seeds replays one sequential stream and "
-            "requires --workers 1"
-        )
+    if args.max_batch < 1:
+        parser.error("--max-batch must be >= 1")
+    if not args.rate_per_hour > 0:
+        parser.error("--rate-per-hour must be > 0")
+    if args.horizon_hours is not None and not args.horizon_hours > 0:
+        parser.error("--horizon-hours must be > 0")
+    if args.hot_set < 1:
+        parser.error("--hot-set must be >= 1")
     config = ExperimentConfig(
         tape_seed=args.tape_seed,
         workload_seed=args.workload_seed,
         scale=args.scale,
         max_length=args.max_length,
-        seed_mode="legacy" if args.legacy_seeds else "per-trial",
     )
     if args.experiment == "cache-sim":
         result = cache_sim.main(
@@ -428,11 +429,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             prefetch=not args.no_prefetch,
             workers=args.workers,
         )
-        if args.out is not None:
-            from repro.experiments.export import write_result
-
-            written = write_result(result, args.out)
-            print(f"exported to {written}")
+        _export(result, args.out)
         return 0
     if args.experiment == "chaos":
         probabilities = [
@@ -469,11 +466,7 @@ def main(argv: Sequence[str] | None = None) -> int:
                 horizon_hours=args.horizon_hours,
                 smoke=args.smoke,
             )
-            if args.out is not None:
-                from repro.experiments.export import write_result
-
-                written = write_result(lib_result, args.out)
-                print(f"exported to {written}")
+            _export(lib_result, args.out)
             # Both durability invariants are correctness gates: no
             # silent loss, and no data loss once replicated.
             return 0 if lib_result.ok else 1
@@ -492,11 +485,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             max_batch=args.max_batch,
             algorithm=args.algorithm,
         )
-        if args.out is not None:
-            from repro.experiments.export import write_result
-
-            written = write_result(result, args.out)
-            print(f"exported to {written}")
+        _export(result, args.out)
         # Losing a request is a resilience-layer bug, not a statistic.
         return 0 if result.all_complete else 1
     if args.experiment == "library-sim":
@@ -526,11 +515,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             algorithm=args.algorithm,
             smoke=args.smoke,
         )
-        if args.out is not None:
-            from repro.experiments.export import write_result
-
-            written = write_result(result, args.out)
-            print(f"exported to {written}")
+        _export(result, args.out)
         # A request that neither completed nor failed is a kernel
         # bug, not a statistic.
         return 0 if result.all_complete else 1
@@ -560,11 +545,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             backend_depth=backend_depth,
             smoke=args.smoke,
         )
-        if args.out is not None:
-            from repro.experiments.export import write_result
-
-            written = write_result(result, args.out)
-            print(f"exported to {written}")
+        _export(result, args.out)
         # A silently dropped request or a blown p999 SLO is a
         # serving-layer bug, not a statistic.
         return 0 if result.all_complete and result.slo_ok else 1
@@ -597,15 +578,10 @@ def main(argv: Sequence[str] | None = None) -> int:
             frontier_trials=frontier_trials,
         )
         optimality.report(result)
-        if args.out is not None:
-            from repro.experiments.export import write_result
-
-            written = write_result(
-                result.frontier if result.frontier is not None
-                else result,
-                args.out,
-            )
-            print(f"exported to {written}")
+        _export(
+            result.frontier if result.frontier is not None else result,
+            args.out,
+        )
         # A heuristic beating the exact linear optimum is a solver
         # bug, not a statistic.
         if result.frontier is not None:
@@ -625,11 +601,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             trace_jsonl=args.trace_jsonl,
             smoke=args.smoke,
         )
-        if args.out is not None:
-            from repro.experiments.export import write_result
-
-            written = write_result(result, args.out)
-            print(f"exported to {written}")
+        _export(result, args.out)
         return 0
     names = _ALL_ORDER if args.experiment == "all" else (args.experiment,)
     if args.out is not None and len(names) > 1:

@@ -308,9 +308,8 @@ def run_per_locate_sweep(
     """The per-trial-seeded Figure 4/5/6 sweep, serial or parallel.
 
     This is the engine behind
-    :func:`repro.experiments.runner.run_per_locate` whenever
-    ``config.seed_mode == "per-trial"``; the result is bit-identical
-    for every ``workers`` value.
+    :func:`repro.experiments.runner.run_per_locate`; the result is
+    bit-identical for every ``workers`` value.
     """
     # Local import: runner is the public module and imports us lazily.
     from repro.experiments.runner import PerLocateResult, SeriesPoint

@@ -19,14 +19,12 @@ from dataclasses import dataclass
 from concurrent.futures import ProcessPoolExecutor
 
 from repro.drive.physical import ground_truth_drive
-from repro.exceptions import ExperimentError
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.result import TabularResult
 from repro.experiments.stats import RunningStats
 from repro.geometry.tape import TapeGeometry
 from repro.scheduling.executor import execute_schedule
 from repro.scheduling.loss import LossScheduler
-from repro.workload.random_uniform import UniformWorkload
 from repro.workload.seed_stream import trial_workload
 
 #: Schedule sizes used for the validation runs (Figure 8's x axis).
@@ -143,10 +141,9 @@ def run_validation(
         The cartridge actually in the drive; measurements run on its
         ground-truth drive.
     workers:
-        Process count (``None``/``0`` = all CPUs).  Under the default
-        per-trial seed mode each length is an independent work unit and
-        the result is bit-identical for every worker count; the legacy
-        seed mode is serial-only.
+        Process count (``None``/``0`` = all CPUs).  Each length is an
+        independent work unit and the result is bit-identical for every
+        worker count.
     """
     from repro.experiments.parallel import _pool_context, resolve_workers
 
@@ -156,16 +153,6 @@ def run_validation(
         n for n in lengths
         if config.max_length is None or n <= config.max_length
     )
-    if config.seed_mode == "legacy":
-        if workers != 1:
-            raise ExperimentError(
-                "seed_mode='legacy' replays one sequential lrand48 "
-                "stream and cannot run on multiple workers"
-            )
-        return _run_validation_legacy(
-            schedule_model, true_geometry, config, lengths, trials,
-            label, drive_seed,
-        )
     if workers == 1 or len(lengths) <= 1:
         points = [
             _measure_one_length(
@@ -192,35 +179,3 @@ def run_validation(
             )
     return ValidationResult(label=label, points=points)
 
-
-def _run_validation_legacy(
-    schedule_model,
-    true_geometry: TapeGeometry,
-    config: ExperimentConfig,
-    lengths: tuple[int, ...],
-    trials: int,
-    label: str,
-    drive_seed: int,
-) -> ValidationResult:
-    """The seed repo's serial loop: one shared ``lrand48`` stream."""
-    scheduler = LossScheduler()
-    workload = UniformWorkload(
-        total_segments=true_geometry.total_segments,
-        seed=config.workload_seed,
-    )
-    points = []
-    for length in lengths:
-        stats = RunningStats()
-        for _ in range(trials):
-            origin, batch = workload.sample_batch_with_origin(
-                length, origin_at_start=False
-            )
-            schedule = scheduler.schedule(schedule_model, origin, batch)
-            estimate = schedule.estimated_seconds
-            drive = ground_truth_drive(
-                true_geometry, seed=drive_seed, initial_position=origin
-            )
-            measured = execute_schedule(drive, schedule).total_seconds
-            stats.add(100.0 * (estimate - measured) / measured)
-        points.append(ValidationPoint(length=length, percent_error=stats))
-    return ValidationResult(label=label, points=points)

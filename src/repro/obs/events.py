@@ -18,8 +18,7 @@ round-trips to identical event objects.
 
 This module also hosts :class:`DriveEvent`/:class:`EventKind`, the
 simulated drive's own operation log, which this taxonomy generalizes
-(they moved here from ``repro.drive.events``; the old import path keeps
-working through a deprecation shim).
+(the :mod:`repro.drive` package re-exports them).
 """
 
 from __future__ import annotations

@@ -16,10 +16,6 @@ truncated to the generator's 48-bit state space.  SplitMix64 is the
 standard seed-sequence mixer (Steele, Lea & Flood, OOPSLA 2014): its
 output function is a bijection of the 64-bit input, so distinct trial
 triples map to well-spread states with no cheap collisions.
-
-The legacy sequential stream remains available through
-``seed_mode="legacy"`` on :class:`~repro.experiments.config.ExperimentConfig`
-for bit-compatibility with pre-parallel results.
 """
 
 from __future__ import annotations

@@ -104,44 +104,11 @@ class TestWorkerInvariance:
         assert serial.baseline_mean_seconds == parallel.baseline_mean_seconds
 
 
-class TestSeedModes:
-    def test_legacy_mode_rejects_workers(self):
-        config = ExperimentConfig(
-            lengths=(2,), scale="quick", seed_mode="legacy"
-        )
-        with pytest.raises(ExperimentError):
-            run_per_locate(
-                config, origin_at_start=False, algorithms=("FIFO",),
-                workers=2,
-            )
-        with pytest.raises(ExperimentError):
-            figure10.run(config, workers=2)
-        with pytest.raises(ExperimentError):
-            figure9.run(config, workers=2)
-
-    def test_unknown_seed_mode_rejected(self):
-        with pytest.raises(ExperimentError):
-            ExperimentConfig(seed_mode="banana")
-
-    def test_legacy_differs_from_per_trial_but_agrees_statistically(self):
-        length = 8
-        per_trial = run_per_locate(
-            ExperimentConfig(lengths=(length,), scale="quick"),
-            origin_at_start=False, algorithms=("FIFO",),
-        ).point("FIFO", length)
-        legacy = run_per_locate(
-            ExperimentConfig(
-                lengths=(length,), scale="quick", seed_mode="legacy"
-            ),
-            origin_at_start=False, algorithms=("FIFO",),
-        ).point("FIFO", length)
-        # Different streams -> different bits...
-        assert per_trial.total.mean != legacy.total.mean
-        # ...same distribution: FIFO's per-locate mean is the
-        # random-to-random expectation (~72.4 s) either way.
-        assert per_trial.per_locate_mean == pytest.approx(
-            legacy.per_locate_mean, rel=0.10
-        )
+class TestConfig:
+    def test_seed_mode_knob_is_gone(self):
+        # One seed mode: every trial draws from its own derived stream.
+        with pytest.raises(TypeError):
+            ExperimentConfig(seed_mode="legacy")
 
 
 class TestChunkPlan:

@@ -136,7 +136,7 @@ class TestGoldenBitIdentity:
             for case in GOLDEN_CASES
         }
         if regen_golden:
-            GOLDEN_PATH.write_text(json.dumps(records, indent=1))
+            GOLDEN_PATH.write_text(json.dumps(records, indent=1) + "\n")
             pytest.skip("regenerated golden/arm_pool.json")
         golden = json.loads(GOLDEN_PATH.read_text())
         assert set(records) == set(golden)

@@ -1,8 +1,11 @@
-"""The retired ``repro.online.library`` shim stays retired.
+"""The retired deprecation shims stay retired.
 
 The cartridge shelf and single-drive library live in
 ``repro.library.cartridge``; the warn-once ``repro.online.library``
 module and the ``repro.online`` re-exports that pointed there are gone.
+So are the ``repro.drive.events`` module (the drive events live in
+``repro.obs.events``) and the facade's fallbacks for the demoted
+observability names (``repro.obs`` exports them).
 """
 
 import importlib
@@ -39,3 +42,9 @@ class TestDeprecationShim:
         for name in ("Cartridge", "DEFAULT_EXCHANGE_SECONDS", "TapeLibrary"):
             assert not hasattr(online, name)
             assert name not in online.__all__
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.drive.events")
+        api = importlib.import_module("repro.api")
+        for name in ("Subscription", "event_from_record"):
+            with pytest.raises(AttributeError):
+                getattr(api, name)

@@ -1,4 +1,4 @@
-"""Event taxonomy: registry, record round-trip, deprecation shims."""
+"""Event taxonomy: registry, record round-trip, package re-export."""
 
 import warnings
 
@@ -9,7 +9,6 @@ from repro.obs.events import (
     BatchCompleted,
     CacheHit,
     DriveEvent,
-    EventKind,
     QueueAdmitted,
     RequestCompleted,
     RequestLocated,
@@ -129,54 +128,8 @@ class TestDerivedProperties:
             event.segment = 2
 
 
-class TestDeprecationShim:
-    @pytest.fixture()
-    def fresh_shim(self, monkeypatch):
-        """The shim with its warned-once memory cleared."""
-        import repro.drive.events as shim
-
-        monkeypatch.setattr(shim, "_warned", set())
-        return shim
-
-    def test_old_drive_event_path_warns_once(self, fresh_shim):
-        with pytest.warns(DeprecationWarning, match="repro.obs.events"):
-            cls = fresh_shim.DriveEvent
-        assert cls is DriveEvent
-
-    def test_old_event_kind_path_warns(self, fresh_shim):
-        with pytest.warns(DeprecationWarning, match="repro.obs.events"):
-            kind = fresh_shim.EventKind
-        assert kind is EventKind
-
-    def test_every_moved_name_resolves(self, fresh_shim):
-        from repro.obs import events as canonical
-
-        for name in fresh_shim._MOVED:
-            with pytest.warns(DeprecationWarning, match=name):
-                resolved = getattr(fresh_shim, name)
-            assert resolved is getattr(canonical, name)
-        assert sorted(fresh_shim._MOVED) == dir(fresh_shim)
-
-    def test_warns_exactly_once_per_name(self, fresh_shim):
-        with pytest.warns(DeprecationWarning) as caught:
-            fresh_shim.DriveEvent
-        assert len(caught) == 1
-        # Second access: silent, even under -W error.
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            assert fresh_shim.DriveEvent is DriveEvent
-        # A different name still gets its own (single) warning.
-        with pytest.warns(DeprecationWarning) as caught:
-            fresh_shim.EventKind
-        assert len(caught) == 1
-
-    def test_shim_unknown_attribute_raises(self):
-        import repro.drive.events as shim
-
-        with pytest.raises(AttributeError):
-            shim.NoSuchName
-
-    def test_package_reexport_stays_warning_free(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            from repro.drive import DriveEvent as from_package  # noqa: F401
+def test_package_reexport_stays_warning_free():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DeprecationWarning)
+        from repro.drive import DriveEvent as from_package
+    assert from_package is DriveEvent

@@ -238,3 +238,21 @@ class TestMain:
         ) == 0
         second = capsys.readouterr().out
         assert first != second
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["trace", "--max-batch", "0"],
+            ["serve-sim", "--smoke", "--max-batch", "0"],
+            ["trace", "--rate-per-hour", "0"],
+            ["library-sim", "--smoke", "--rate-per-hour", "-5"],
+            ["trace", "--horizon-hours", "-1"],
+            ["cache-sim", "--hot-set", "0"],
+            ["figure4", "--legacy-seeds"],
+        ],
+    )
+    def test_bad_flag_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert "usage:" in capsys.readouterr().err

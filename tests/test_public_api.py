@@ -1,6 +1,7 @@
 """The package's public surface."""
 
 import importlib
+import warnings
 
 import pytest
 
@@ -14,6 +15,23 @@ class TestPublicSurface:
     def test_all_names_resolve(self):
         for name in repro.__all__:
             assert hasattr(repro, name), name
+
+    def test_package_reexports_the_facade(self):
+        # repro.api alone decides what is public; the package adds
+        # only the facade module itself.
+        from repro import api
+
+        assert set(repro.__all__) == set(api.__all__) | {"api"}
+        for name in api.__all__:
+            assert getattr(repro, name) is getattr(api, name), name
+
+    def test_blessed_names_stay_warning_free(self):
+        from repro import api
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            for name in api.__all__:
+                getattr(api, name)
 
     @pytest.mark.parametrize(
         "module",
