@@ -133,7 +133,7 @@ from repro.library import (
     label_requests,
     poisson_library_stream,
 )
-from repro.library.cartridge import Cartridge, TapeLibrary
+from repro.library.cartridge import Cartridge
 from repro.online.batch_queue import (
     BatchPolicy,
     BatchQueue,
@@ -280,7 +280,6 @@ __all__ = [
     "StripedVolume",
     "TabularResult",
     "TapeGeometry",
-    "TapeLibrary",
     "TenantConfig",
     "TenantLoadSpec",
     "TenantOverloaded",

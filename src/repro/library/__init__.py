@@ -2,7 +2,7 @@
 
 ``repro.library`` holds everything between "a request names a
 cartridge" and "a drive reads its segments": the cartridge shelf and
-single-drive :class:`TapeLibrary`, the discrete-event
+its exchange cost, the discrete-event
 :class:`~repro.library.kernel.EventKernel`, the
 :class:`~repro.library.robot.ArmPool` of
 :class:`~repro.library.robot.RobotArm` exchange servers, pluggable
@@ -17,11 +17,7 @@ tape is the paper's single-drive online system.  See
 # Cartridge names first: repro.online.striping imports them from the
 # submodule directly, and the system module below imports repro.online, so this
 # order keeps the partial-module window safe in both directions.
-from repro.library.cartridge import (
-    Cartridge,
-    DEFAULT_EXCHANGE_SECONDS,
-    TapeLibrary,
-)
+from repro.library.cartridge import Cartridge, DEFAULT_EXCHANGE_SECONDS
 from repro.library.aging import MediaAgingModel
 from repro.library.drives import DriveBay, DriveState
 from repro.library.kernel import EventKernel
@@ -77,7 +73,6 @@ __all__ = [
     "RobotArm",
     "RoundRobinArms",
     "TapeAffinityAssignment",
-    "TapeLibrary",
     "TapeQueueView",
     "arm_policy_names",
     "assignment_policy_names",

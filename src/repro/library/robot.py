@@ -8,10 +8,9 @@ them through a pluggable arm-assignment policy (see
 original shared-arm library: one arm, one FIFO queue, the same event
 sequence at the same instants.
 
-Each job charges the same costs as the single-drive
-:class:`~repro.library.cartridge.TapeLibrary` (rewind-to-BOT plus an
-exchange to shelve the outgoing cartridge, one exchange to load the
-incoming one), and while an arm works on one bay every other exchange
+Each job charges the library's exchange rule: rewind-to-BOT plus one
+exchange to shelve the outgoing cartridge, and one exchange to load the
+incoming one.  While an arm works on one bay every other exchange
 queued on *that arm* waits — other arms keep working.  An arm schedules
 :class:`~repro.library.events.MountStarted` /
 :class:`~repro.library.events.MountCompleted` /
@@ -20,9 +19,9 @@ layer reacts to them (building the drive, publishing observability
 events, re-pumping dispatch).
 
 The rewind is charged to the arm's occupancy as well: the bay is
-unusable while its outgoing cartridge rewinds, and modelling the arm as
-occupied for the whole unload-load sequence matches the serial
-accounting of ``TapeLibrary.mount``.
+unusable while its outgoing cartridge rewinds, so the arm is occupied
+for the whole unload-load sequence: rewind, shelve, then load, one after
+the other.
 """
 
 from __future__ import annotations

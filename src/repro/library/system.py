@@ -18,10 +18,10 @@ queues, and idle drive bays pick tapes via a pluggable
 :class:`~repro.library.policies.ExchangePolicy` (when to give one up).
 Cartridge exchanges go through an
 :class:`~repro.library.robot.ArmPool` of ``arms`` robot arms routed by
-an :class:`~repro.library.policies.ArmAssignmentPolicy`; each arm
-charges the same rewind-to-BOT and exchange costs as the single-drive
-:class:`~repro.library.cartridge.TapeLibrary`, and a 1-arm pool
-serializes exchanges exactly like the original shared arm
+an :class:`~repro.library.policies.ArmAssignmentPolicy`; each exchange
+costs rewind-to-BOT plus one exchange to shelve the outgoing cartridge,
+and one exchange to load the incoming one, which starts at segment 0.
+A 1-arm pool serializes exchanges exactly like the original shared arm
 (bit-identical, pinned by the arm-pool golden tests).
 
 With ``aging=`` the library also models media wear
@@ -79,7 +79,7 @@ from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, replace
 
 from repro.drive.simulated import SimulatedDrive
-from repro.exceptions import LibraryError, UnknownTape
+from repro.exceptions import LibraryError, SegmentOutOfRange, UnknownTape
 from repro.library import events as sim
 from repro.library.aging import MediaAgingModel
 from repro.library.cartridge import Cartridge, DEFAULT_EXCHANGE_SECONDS
@@ -442,13 +442,7 @@ class MultiDriveSystem:
         serving layer uses to inject requests while the kernel runs.
         """
         self.begin()
-        items = sorted(requests, key=lambda r: r.arrival_seconds)
-        for request in items:
-            if request.label not in self._shelf:
-                raise UnknownTape(
-                    f"no cartridge labelled {request.label!r}"
-                )
-        for request in items:
+        for request in sorted(requests, key=lambda r: r.arrival_seconds):
             self.submit(request)
         return self.finish()
 
@@ -470,12 +464,28 @@ class MultiDriveSystem:
         whose arrival time is already in the past enters its queue at
         the current kernel time; its response time still counts from
         the true arrival.
+
+        A malformed request is rejected here, before anything is
+        scheduled (it would otherwise fail inside :meth:`finish`, in
+        the scheduler): an unknown label raises
+        :class:`~repro.exceptions.UnknownTape`, a read that is not
+        wholly on its cartridge raises
+        :class:`~repro.exceptions.SegmentOutOfRange`, and a length
+        below 1 raises :class:`~repro.exceptions.LibraryError`.
         """
         if not self._ran:
             raise LibraryError("call begin() before submit()")
-        if request.label not in self._shelf:
-            raise UnknownTape(
-                f"no cartridge labelled {request.label!r}"
+        cartridge = self.cartridge(request.label)
+        if request.length < 1:
+            raise LibraryError(
+                f"length must be >= 1, got {request.length}"
+            )
+        total = cartridge.geometry.total_segments
+        if not 0 <= request.segment < total:
+            raise SegmentOutOfRange(request.segment, total)
+        if request.segment + request.length > total:
+            raise SegmentOutOfRange(
+                request.segment + request.length - 1, total
             )
         index = len(self._requests)
         self._requests.append(request)

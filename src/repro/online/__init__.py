@@ -13,9 +13,7 @@ from repro.online.metrics import CacheStats, ResponseStats
 from repro.online.striping import (
     LogicalRead,
     StripeMapping,
-    StripedBatchResult,
     StripedReadCoordinator,
-    StripedTapeArray,
     StripedVolume,
     striped_volume,
 )
@@ -28,9 +26,7 @@ __all__ = [
     "ResponseStats",
     "LogicalRead",
     "StripeMapping",
-    "StripedBatchResult",
     "StripedReadCoordinator",
-    "StripedTapeArray",
     "StripedVolume",
     "striped_volume",
 ]

@@ -1,23 +1,25 @@
-"""Striped tape arrays — the [DK93]/[GMW95] related-work extension.
+"""Striped tape volumes — the [DK93]/[GMW95] related-work extension.
 
 The paper cites striped tape organizations (Drapeau & Katz; Golubchik,
 Muntz & Watson) as the complementary lever on tape performance:
 scheduling attacks positioning *latency*, striping attacks *bandwidth
 and parallelism* by spreading a logical volume across several drives.
-This module combines the two: a logical address space is striped
-round-robin over K cartridges, a random batch is split into its
-per-drive sub-batches, each sub-batch is scheduled independently (LOSS
-by default), and all drives run in parallel — the batch completes at
-the slowest drive's makespan.
+This module combines the two on the library kernel: a logical address
+space is striped round-robin over K cartridges, and a read of it fans
+out into per-cartridge sub-requests that a
+:class:`~repro.library.system.MultiDriveSystem` with those K
+cartridges preloaded schedules per drive (LOSS by default) and runs in
+parallel — a batch completes at the slowest drive's makespan.
 
 Because each drive sees ~1/K of the requests, the per-request
 positioning cost *rises* (smaller batches schedule worse — Figure 4),
-so the speedup from K drives is sublative: K drives buy less than K×.
-The ablation benchmark quantifies that interaction.
+so the speedup from K drives is sublinear: K drives buy less than K×.
+``examples/striped_array.py`` quantifies that interaction.
 
-Two layers connect striping to the multi-drive library of
-:mod:`repro.library`:
+Three pieces connect striping to the library:
 
+* :class:`StripeMapping` — the round-robin shape: stripe unit ``u``
+  lives on cartridge ``u mod K`` at physical unit ``u // K``.
 * :class:`StripedVolume` — a *replicated* stripe mapping over named
   cartridges: replica ``r`` of stripe unit ``u`` lives on cartridge
   ``(u + r) mod K`` in that cartridge's replica-``r`` region (rotated
@@ -38,18 +40,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from repro.drive.simulated import SimulatedDrive
 from repro.exceptions import LibraryError, SegmentOutOfRange
 from repro.library.cartridge import Cartridge
 from repro.library.requests import LibraryRequest
 from repro.obs.events import DegradedRead, RepairCompleted, RepairStarted
 from repro.online.metrics import ResponseStats
-from repro.scheduling.base import Scheduler
-from repro.scheduling.executor import execute_schedule
-from repro.scheduling.loss import LossScheduler
-from repro.scheduling.request import Request
 
 
 @dataclass(frozen=True)
@@ -95,92 +90,6 @@ class StripeMapping:
         physical_unit, offset = divmod(physical_segment, self.stripe_unit)
         unit = physical_unit * self.drives + drive
         return unit * self.stripe_unit + offset
-
-
-@dataclass(frozen=True)
-class StripedBatchResult:
-    """Outcome of servicing one batch on the array."""
-
-    makespan_seconds: float
-    drive_seconds: tuple[float, ...]
-    drive_requests: tuple[int, ...]
-
-    @property
-    def parallel_efficiency(self) -> float:
-        """Total drive-busy time divided by (drives x makespan)."""
-        busy = sum(self.drive_seconds)
-        return busy / (len(self.drive_seconds) * self.makespan_seconds)
-
-
-class StripedTapeArray:
-    """K cartridges in K drives, serving one striped logical volume."""
-
-    def __init__(
-        self,
-        cartridges: list[Cartridge],
-        stripe_unit: int = 1,
-        scheduler: Scheduler | None = None,
-    ) -> None:
-        if not cartridges:
-            raise LibraryError("a striped array needs cartridges")
-        if stripe_unit < 1:
-            raise LibraryError("stripe_unit must be >= 1")
-        self.cartridges = list(cartridges)
-        self.scheduler = scheduler or LossScheduler()
-        smallest = min(c.geometry.total_segments for c in self.cartridges)
-        self.mapping = StripeMapping(
-            drives=len(self.cartridges),
-            stripe_unit=stripe_unit,
-            units_per_drive=smallest // stripe_unit,
-        )
-        self._drives = [
-            SimulatedDrive(cartridge.model)
-            for cartridge in self.cartridges
-        ]
-
-    @property
-    def logical_total(self) -> int:
-        """Logical segments exposed by the volume."""
-        return self.mapping.logical_total
-
-    def split_batch(
-        self, logical_segments
-    ) -> list[list[int]]:
-        """Per-drive physical sub-batches for a logical batch."""
-        split: list[list[int]] = [[] for _ in self.cartridges]
-        for logical in np.asarray(logical_segments, dtype=np.int64):
-            drive, physical = self.mapping.locate(int(logical))
-            split[drive].append(physical)
-        return split
-
-    def service_batch(self, logical_segments) -> StripedBatchResult:
-        """Schedule and execute one batch across all drives in parallel.
-
-        Each drive's head stays where its previous sub-batch left it
-        (the paper's repeated-batches scenario, per drive).
-        """
-        split = self.split_batch(logical_segments)
-        drive_seconds = []
-        for index, physicals in enumerate(split):
-            if not physicals:
-                drive_seconds.append(0.0)
-                continue
-            drive = self._drives[index]
-            schedule = self.scheduler.schedule(
-                self.cartridges[index].model,
-                drive.position,
-                [Request(p) for p in physicals],
-            )
-            result = execute_schedule(drive, schedule)
-            drive_seconds.append(result.total_seconds)
-        return StripedBatchResult(
-            makespan_seconds=max(drive_seconds),
-            drive_seconds=tuple(drive_seconds),
-            drive_requests=tuple(len(p) for p in split),
-        )
-
-
-# -- replicated volumes on the multi-drive library ---------------------------
 
 
 @dataclass(frozen=True)

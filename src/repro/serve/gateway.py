@@ -441,5 +441,5 @@ class Gateway:
             completed=sum(self._completed.values()),
             failed=sum(self._failed.values()),
             shed=sum(self._shed_counts.values()),
-            degraded=getattr(self.system, "degraded", False),
+            degraded=self.system.degraded,
         )

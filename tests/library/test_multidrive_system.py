@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.exceptions import LibraryError, UnknownTape
+from repro.exceptions import LibraryError, SegmentOutOfRange, UnknownTape
 from repro.geometry import tiny_tape
 from repro.library import (
     Cartridge,
@@ -83,6 +83,10 @@ class TestConstruction:
         assert system.exchanges == 0
         assert system.clock_seconds == 0.0
 
+    def test_cartridge_model_autobuilt(self):
+        cartridge = Cartridge("solo", tiny_tape(seed=3))
+        assert cartridge.model.geometry is cartridge.geometry
+
     def test_fault_plan_implies_resilience(self):
         system = MultiDriveSystem(
             shelf(1), drives=1,
@@ -107,6 +111,36 @@ class TestLookups:
         system = MultiDriveSystem(shelf(1), drives=1)
         with pytest.raises(UnknownTape, match="ghost"):
             system.run([LibraryRequest(0.0, "ghost", 1)])
+
+    def test_off_tape_segment_rejected_at_submit(self):
+        system = MultiDriveSystem(shelf(1), drives=1)
+        total = system.cartridge("tape-0").geometry.total_segments
+        system.begin()
+        for segment in (-1, total, total + 7):
+            with pytest.raises(SegmentOutOfRange):
+                system.submit(LibraryRequest(0.0, "tape-0", segment))
+        assert system.submitted == 0
+        system.finish()
+        assert not system.batches
+
+    def test_read_past_the_end_rejected_at_submit(self):
+        system = MultiDriveSystem(shelf(1), drives=1)
+        total = system.cartridge("tape-0").geometry.total_segments
+        system.begin()
+        with pytest.raises(SegmentOutOfRange) as excinfo:
+            system.submit(
+                LibraryRequest(0.0, "tape-0", total - 2, length=3)
+            )
+        assert excinfo.value.segment == total
+        with pytest.raises(LibraryError, match="length"):
+            system.submit(
+                LibraryRequest(0.0, "tape-0", 5, length=0)
+            )
+        # A read that ends exactly at the end of the tape is on it.
+        system.submit(LibraryRequest(0.0, "tape-0", total - 2, length=2))
+        system.finish()
+        assert system.completed == 1
+        assert system.lost == 0
 
     def test_run_is_once_only(self):
         system = MultiDriveSystem(shelf(1), drives=1)
@@ -186,6 +220,97 @@ class TestServing:
         fast = quad.run(list(requests))
         assert fast.mean_seconds < slow.mean_seconds
         assert quad.clock_seconds < single.clock_seconds
+
+
+class TestExchanges:
+    """The exchange rule: loading costs one exchange; shelving costs
+    rewind-to-BOT plus one exchange; a loaded tape starts at BOT."""
+
+    def swap_run(self):
+        bus = EventBus()
+        events = bus.collect(
+            [
+                "library.mount", "library.unmount",
+                "library.mount_wait", "batch.start",
+            ]
+        )
+        ops = bus.collect("drive.op")
+        system = MultiDriveSystem(
+            shelf(2), drives=1, exchange_seconds=30.0, bus=bus
+        )
+        # tape-0 is read deep, shelved for tape-1, then loaded again.
+        system.run(
+            [
+                LibraryRequest(0.0, "tape-0", 150),
+                LibraryRequest(1.0, "tape-1", 5),
+                LibraryRequest(5000.0, "tape-0", 99),
+            ]
+        )
+        assert system.lost == 0
+
+        def named(name):
+            return [e for e in events if e.name == name]
+
+        return system, events, named, ops
+
+    def test_loading_an_empty_bay_costs_one_exchange(self):
+        system, _, named, _ = self.swap_run()
+        first = named("library.mount_wait")[0]
+        assert first.robot_seconds == 30.0
+        assert first.wait_seconds == 30.0
+        assert system.batches[0].start_seconds == 30.0
+
+    def test_swap_charges_rewind_and_both_exchanges(self):
+        system, _, named, _ = self.swap_run()
+        waits = named("library.mount_wait")
+        unmounts = named("library.unmount")
+        assert system.exchanges == len(waits) == 3
+        for wait, unmount in zip(waits[1:], unmounts, strict=True):
+            assert unmount.rewind_seconds > 0.0
+            assert wait.robot_seconds == pytest.approx(
+                unmount.rewind_seconds + 30.0 + 30.0
+            )
+
+    def test_fresh_mounts_start_at_bot(self):
+        _, _, named, _ = self.swap_run()
+        # The third batch runs on tape-0 again after it was read to
+        # segment 151 and shelved: it starts at BOT, not at 151.
+        assert [e.origin for e in named("batch.start")] == [0, 0, 0]
+
+    def test_mounted_tape_serves_on_without_an_exchange(self):
+        bus = EventBus()
+        starts = bus.collect("batch.start")
+        system = MultiDriveSystem(
+            shelf(2), drives=1, preload=["tape-0"], bus=bus
+        )
+        system.run(
+            [
+                LibraryRequest(0.0, "tape-0", 150),
+                LibraryRequest(5000.0, "tape-0", 42),
+            ]
+        )
+        # No exchange, and the head stays where the last read left it.
+        assert system.exchanges == 0
+        assert [e.origin for e in starts] == [0, 151]
+
+    def test_mount_unmount_events_in_order(self):
+        _, events, _, _ = self.swap_run()
+        library = [
+            (e.name, e.label) for e in events
+            if e.name in ("library.mount", "library.unmount")
+        ]
+        assert library == [
+            ("library.mount", "tape-0"),
+            ("library.unmount", "tape-0"),
+            ("library.mount", "tape-1"),
+            ("library.unmount", "tape-1"),
+            ("library.mount", "tape-0"),
+        ]
+
+    def test_mounted_drives_publish_on_the_system_bus(self):
+        _, _, _, ops = self.swap_run()
+        kinds = {op.kind for op in ops}
+        assert {"locate", "read", "rewind"} <= kinds
 
 
 class TestRobotContention:

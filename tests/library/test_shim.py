@@ -1,8 +1,10 @@
 """The retired deprecation shims stay retired.
 
-The cartridge shelf and single-drive library live in
-``repro.library.cartridge``; the warn-once ``repro.online.library``
-module and the ``repro.online`` re-exports that pointed there are gone.
+The cartridge shelf lives in ``repro.library.cartridge``; the warn-once
+``repro.online.library`` module and the ``repro.online`` re-exports
+that pointed there are gone, and so are the synchronous single-drive
+``TapeLibrary`` and the off-kernel ``StripedTapeArray`` (with its
+``StripedBatchResult``): ``MultiDriveSystem`` serves both settings.
 So are the ``repro.drive.events`` module (the drive events live in
 ``repro.obs.events``) and the facade's fallbacks for the demoted
 observability names (``repro.obs`` exports them).
@@ -13,11 +15,7 @@ import warnings
 
 import pytest
 
-from repro.library.cartridge import (
-    Cartridge,
-    DEFAULT_EXCHANGE_SECONDS,
-    TapeLibrary,
-)
+from repro.library.cartridge import Cartridge, DEFAULT_EXCHANGE_SECONDS
 
 
 class TestDeprecationShim:
@@ -28,12 +26,10 @@ class TestDeprecationShim:
             from repro.library import (
                 Cartridge as library_cartridge,
                 DEFAULT_EXCHANGE_SECONDS as library_exchange,
-                TapeLibrary as library_tape_library,
             )
 
             assert library_cartridge is Cartridge is api.Cartridge
             assert library_exchange == DEFAULT_EXCHANGE_SECONDS
-            assert library_tape_library is TapeLibrary is api.TapeLibrary
 
     def test_retired_import_paths_are_gone(self):
         with pytest.raises(ModuleNotFoundError):
@@ -45,6 +41,19 @@ class TestDeprecationShim:
         with pytest.raises(ModuleNotFoundError):
             importlib.import_module("repro.drive.events")
         api = importlib.import_module("repro.api")
-        for name in ("Subscription", "event_from_record"):
+        for name in ("Subscription", "event_from_record", "TapeLibrary"):
             with pytest.raises(AttributeError):
                 getattr(api, name)
+            assert name not in api.__all__
+        # The synchronous single-drive library and the off-kernel
+        # striped array are served by MultiDriveSystem now.
+        library = importlib.import_module("repro.library")
+        cartridge = importlib.import_module("repro.library.cartridge")
+        for module in (library, cartridge):
+            assert not hasattr(module, "TapeLibrary")
+        assert "TapeLibrary" not in library.__all__
+        striping = importlib.import_module("repro.online.striping")
+        for name in ("StripedTapeArray", "StripedBatchResult"):
+            for module in (online, striping):
+                assert not hasattr(module, name)
+            assert name not in online.__all__

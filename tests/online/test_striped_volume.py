@@ -174,6 +174,29 @@ class TestCoordinatorCleanPath:
         with pytest.raises(UnknownTape):
             StripedReadCoordinator(system, volume)
 
+    def test_oversize_volume_fails_at_submit(self):
+        # A hand-built volume claims more units than its cartridges
+        # hold; a read past the real end is refused when it is
+        # submitted, not later in the middle of finish().
+        tapes = shelf()
+        fitted = striped_volume(tapes, stripe_unit=STRIPE_UNIT)
+        oversize = StripedVolume(
+            labels=fitted.labels,
+            mapping=StripeMapping(
+                drives=CARTRIDGES,
+                stripe_unit=STRIPE_UNIT,
+                units_per_drive=fitted.mapping.units_per_drive + 10,
+            ),
+        )
+        system = make_system(tapes)
+        coordinator = StripedReadCoordinator(system, oversize)
+        system.begin()
+        coordinator.submit(0.0, fitted.logical_total - 1)
+        with pytest.raises(SegmentOutOfRange):
+            coordinator.submit(0.0, oversize.logical_total - 1)
+        system.finish()
+        assert coordinator.completed == 1
+
 
 class TestCoordinatorDegradedPath:
     def test_certain_faults_surface_every_read(self):

@@ -10,7 +10,7 @@ from repro.obs import (
     response_stats_from_events,
 )
 from repro.cache import CachedLibrarySystem, SegmentCache
-from repro.library import Cartridge, TapeLibrary, label_requests
+from repro.library import label_requests
 from repro.online import BatchPolicy
 from repro.scheduling import ReadEntireTapeScheduler
 from repro.workload import (
@@ -281,37 +281,3 @@ class TestCachedSystem:
         ]
         assert len(spans) == system.cache_stats.hits
         assert stats.count == len(recorder.request_spans())
-
-
-class TestLibraryEvents:
-    def test_mount_unmount_published(self):
-        bus = EventBus()
-        events = bus.collect(["library.mount", "library.unmount"])
-        library = TapeLibrary(
-            [
-                Cartridge("alpha", tiny_tape(seed=1)),
-                Cartridge("beta", tiny_tape(seed=2)),
-            ],
-            exchange_seconds=30.0,
-            bus=bus,
-        )
-        library.mount("alpha")
-        library.drive.locate(40)
-        library.mount("beta")  # implies unmount of alpha
-        names = [e.name for e in events]
-        assert names == [
-            "library.mount", "library.unmount", "library.mount",
-        ]
-        unmount = events[1]
-        assert unmount.label == "alpha"
-        assert unmount.rewind_seconds > 0.0
-
-    def test_mounted_drive_shares_bus(self):
-        bus = EventBus()
-        ops = bus.collect("drive.op")
-        library = TapeLibrary(
-            [Cartridge("alpha", tiny_tape(seed=1))], bus=bus
-        )
-        library.mount("alpha")
-        library.drive.locate(40)
-        assert any(op.kind == "locate" for op in ops)

@@ -42,3 +42,17 @@ class TestExamples:
         out = run_example("data_mining_batch.py", capsys)
         assert "point queries" in out
         assert "AUTO" in out
+
+    def test_striped_array(self, capsys):
+        out = run_example("striped_array.py", capsys)
+        # The table is frozen: the kernel-served arrays print exactly
+        # what the retired off-kernel array printed.
+        assert out.splitlines()[:7] == [
+            "servicing 256 random reads on striped arrays",
+            "",
+            "drives   makespan  speedup  parallel eff.  per-drive batch",
+            "     1     8703 s    1.00x          100%             256",
+            "     2     5534 s    1.57x           87%             128",
+            "     4     2712 s    3.21x           88%              64",
+            "     8     1521 s    5.72x           79%              32",
+        ]

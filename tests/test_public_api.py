@@ -88,7 +88,7 @@ class TestPublicSurface:
             "BatchRecord", "label_requests",
             "SimulatedDrive", "execute_schedule", "get_scheduler",
             "generate_tape", "LocateTimeModel", "SegmentCache",
-            "BatchPolicy", "TapeLibrary", "result_to_rows",
+            "BatchPolicy", "result_to_rows",
             "write_result", "LinearizedModel", "LtspExactScheduler",
             "LtspRepairScheduler", "LtspSweepScheduler",
             "LtspGreedyScheduler", "exact_ltsp_order",
