@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro import generate_tape
-from repro.library import Cartridge, MultiDriveSystem
+from repro.library import Cartridge, LibraryRequest, MultiDriveSystem
 from repro.online import BatchPolicy, StripedReadCoordinator, striped_volume
 
 BATCH_SIZE = 256
@@ -55,11 +55,11 @@ def main() -> None:
         batch = rng.choice(
             volume.logical_total, BATCH_SIZE, replace=False
         )
-        system.begin()
-        for logical in batch:
-            coordinator.submit(0.0, int(logical))
-        system.finish()
-        makespan = coordinator.stats.max_seconds
+        [label] = coordinator.labels()
+        stats = coordinator.run(
+            LibraryRequest(0.0, label, int(logical)) for logical in batch
+        )
+        makespan = stats.max_seconds
         busy = sum(bay.busy_seconds for bay in system.bays)
         efficiency = busy / (drives * makespan)
         if baseline is None:

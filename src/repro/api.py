@@ -29,8 +29,9 @@ The facade groups:
   solvers (exact, repair, sweep, greedy), schedules, execution;
 * **online** — the batching service loop (the robotic library's
   :class:`~repro.library.MultiDriveSystem`, one preloaded drive for the
-  paper's single-tape setting) and the staging-cache front-end with
-  its eviction and admission policies;
+  paper's single-tape setting), the staging-cache front-end with its
+  eviction and admission policies, and the striped-volume coordinator
+  — each a :class:`~repro.library.ServingTier`;
 * **serving** — the SLA-aware gateway of :mod:`repro.serve` (tenants,
   fairness, backpressure, typed shedding) and its deterministic
   multi-tenant load generator — the entry point external callers are
@@ -124,6 +125,7 @@ from repro.library import (
     LibraryRequest,
     MediaAgingModel,
     MultiDriveSystem,
+    ServingTier,
     arm_policy_names,
     assignment_policy_names,
     exchange_policy_names,
@@ -141,7 +143,6 @@ from repro.online.batch_queue import (
 )
 from repro.online.metrics import CacheStats, ResponseStats
 from repro.online.striping import (
-    LogicalRead,
     StripedReadCoordinator,
     StripedVolume,
     striped_volume,
@@ -240,7 +241,6 @@ __all__ = [
     "LocateCase",
     "LocateFault",
     "LocateTimeModel",
-    "LogicalRead",
     "LossScheduler",
     "LtspExactScheduler",
     "LtspGreedyScheduler",
@@ -271,6 +271,7 @@ __all__ = [
     "ServeError",
     "ServeReport",
     "ServeRequest",
+    "ServingTier",
     "ShedRecord",
     "ShortLocateDeviation",
     "SimulatedDrive",

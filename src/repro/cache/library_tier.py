@@ -6,11 +6,11 @@ after missing a disk staging tier.  This module adds that tier by
 wraps a fresh library (one drive and one preloaded tape for the
 paper's single-drive setting) and serves lookups from a shared
 :class:`~repro.cache.store.SegmentCache` first.  Hits complete at
-(simulated) arrival time plus the configured disk latency (disk
-latency is negligible against 10–100 s locates); misses flow into the
-backend unchanged.  When a backend batch *completes*, the segments it
-fetched are staged (admission-controlled, failure-filtered) and the
-segments the head passed over are prefetched for free, per drive bay.
+(simulated) arrival time (disk latency is negligible against 10–100 s
+locates); misses flow into the backend unchanged.  When a backend
+batch *completes*, the segments it fetched are staged
+(admission-controlled, failure-filtered) and the segments the head
+passed over are prefetched for free, per drive bay.
 Staging at completion keeps the tier causal: a hit is only ever served
 from data the tape has already read.
 
@@ -18,12 +18,17 @@ The cache is shared across cartridges, so resident segments are keyed
 in a *global* address space: each cartridge (sorted by label) owns a
 contiguous block of keys offset by the total segments of the
 cartridges before it.  Tape-local coordinates never leak into the
-cache and cross-tape collisions cannot happen.
+cache and cross-tape collisions cannot happen: :meth:`submit` runs the
+library's own :meth:`~repro.library.MultiDriveSystem.check`, so a read
+past the end of its cartridge is refused before it can reach the
+next cartridge's keys.
 
-The tier exposes the same opened serving surface as the backend
-(``begin`` / ``submit`` / ``finish``, ``completion_listeners`` /
-``failure_listeners``), so a :class:`~repro.serve.Gateway` can stack
-on top of the cache exactly as it stacks on the bare library.
+The tier is a :class:`~repro.library.serving.ServingTier`, so a
+:class:`~repro.serve.Gateway` or a
+:class:`~repro.online.StripedReadCoordinator` stacks on top of the
+cache exactly as on the bare library.  The tier itself sits directly
+on the library: staging reads the library's per-batch hook, bay head
+positions and cartridge models (see ``docs/SERVING.md``).
 """
 
 from __future__ import annotations
@@ -32,15 +37,12 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import ClassVar
 
-from repro.cache.prefetch import (
-    DEFAULT_MAX_PREFETCH_PER_BATCH,
-    opportunistic_prefetch,
-)
+from repro.cache.prefetch import opportunistic_prefetch
 from repro.cache.store import SegmentCache
-from repro.constants import DEFAULT_COALESCE_THRESHOLD
-from repro.exceptions import CacheError, LibraryError, UnknownTape
+from repro.exceptions import LibraryError
 from repro.library.events import SimEvent
 from repro.library.requests import LibraryRequest
+from repro.library.serving import ServingTier
 from repro.library.system import MultiDriveSystem
 from repro.obs.events import RequestCompleted
 from repro.online.metrics import CacheStats, ResponseStats
@@ -71,13 +73,6 @@ class _ShiftedCache:
         self._cache = cache
         self._offset = offset
 
-    def admit(
-        self, segment: int, cost: float = 0.0, prefetch: bool = False
-    ) -> bool:
-        return self._cache.admit(
-            segment + self._offset, cost, prefetch=prefetch
-        )
-
     def admit_run(
         self,
         segments: Iterable[int],
@@ -91,7 +86,7 @@ class _ShiftedCache:
         )
 
 
-class CachedLibrarySystem:
+class CachedLibrarySystem(ServingTier):
     """A shared disk staging tier over an injected multi-drive backend.
 
     Parameters
@@ -106,12 +101,10 @@ class CachedLibrarySystem:
         :data:`DEFAULT_CACHE_CAPACITY_SEGMENTS`
         segments.  Keys are global (see module docstring) — do not
         share one cache between tiers with different shelves.
-    hit_latency_seconds:
-        Response time charged to a cache hit.
-    prefetch, prefetch_threshold, max_prefetch_per_batch:
+    prefetch:
         Stage the segments each batch's head passes over (see
-        :mod:`repro.cache.prefetch`), with the coalescing distance and
-        per-batch cap of that module.
+        :mod:`repro.cache.prefetch`, whose coalescing distance and
+        per-batch cap apply).
     """
 
     def __init__(
@@ -119,37 +112,23 @@ class CachedLibrarySystem:
         *,
         system: MultiDriveSystem,
         cache: SegmentCache | None = None,
-        hit_latency_seconds: float = 0.0,
         prefetch: bool = True,
-        prefetch_threshold: int = DEFAULT_COALESCE_THRESHOLD,
-        max_prefetch_per_batch: int = DEFAULT_MAX_PREFETCH_PER_BATCH,
     ) -> None:
-        if hit_latency_seconds < 0:
-            raise CacheError("hit_latency_seconds must be >= 0")
+        super().__init__()
         self.system = system
         self.cache = (
             cache
             if cache is not None
             else SegmentCache(DEFAULT_CACHE_CAPACITY_SEGMENTS)
         )
-        self.hit_latency_seconds = float(hit_latency_seconds)
         self.prefetch = prefetch
-        self.prefetch_threshold = prefetch_threshold
-        self.max_prefetch_per_batch = max_prefetch_per_batch
         self.kernel = system.kernel
         self.bus = system.bus
         if self.bus is not None and self.cache.bus is None:
             self.cache.bus = self.bus
-        #: Response statistics over *all* tier requests — cache hits
-        #: at disk latency plus backend completions at tape latency.
-        self.stats = ResponseStats()
-        self.submitted = 0
-        #: Cache hits served without touching the backend.
+        #: Cache hits served without touching the backend.  Hits
+        #: report ``drive`` −1 to the completion listeners.
         self.hits = 0
-        #: Outcome hooks, same contract as the backend's (hits report
-        #: ``drive_index`` −1).
-        self.completion_listeners = []
-        self.failure_listeners = []
         self._requests: list[LibraryRequest] = []
         # Global key space: each label's block starts where the
         # previous (sorted) label's ends.
@@ -160,8 +139,8 @@ class CachedLibrarySystem:
             offset += system.cartridge(label).geometry.total_segments
 
         self.kernel.on(CacheLookup, self._on_lookup)
-        system.completion_listeners.append(self._forward_completion)
-        system.failure_listeners.append(self._forward_failure)
+        system.completion_listeners.append(self._record_completion)
+        system.failure_listeners.append(self._record_failure)
         system.batch_listeners.append(self._on_backend_batch)
 
     # -- tier state --------------------------------------------------------
@@ -170,16 +149,6 @@ class CachedLibrarySystem:
     def cache_stats(self) -> CacheStats:
         """Hit/miss/byte accounting of the staging tier."""
         return self.cache.stats
-
-    @property
-    def failed(self) -> list[LibraryRequest]:
-        """Requests the backend surfaced as failed."""
-        return self.system.failed
-
-    @property
-    def lost(self) -> int:
-        """Requests with no recorded outcome (zero after a run)."""
-        return self.submitted - self.stats.count - len(self.failed)
 
     @property
     def degraded(self) -> bool:
@@ -192,29 +161,17 @@ class CachedLibrarySystem:
 
     # -- the run -----------------------------------------------------------
 
-    def run(self, requests: Iterable[LibraryRequest]) -> ResponseStats:
-        """Serve a timed request stream to completion."""
-        self.begin()
-        items = sorted(requests, key=lambda r: r.arrival_seconds)
-        for request in items:
-            if request.label not in self._offsets:
-                raise UnknownTape(
-                    f"no cartridge labelled {request.label!r}"
-                )
-        for request in items:
-            self.submit(request)
-        return self.finish()
-
     def begin(self) -> None:
         """Open the tier for :meth:`submit` (one-shot)."""
         self.system.begin()
 
+    def check(self, request: LibraryRequest) -> None:
+        """The library's own request check (the cache keys by it)."""
+        self.system.check(request)
+
     def submit(self, request: LibraryRequest) -> int:
         """Inject one request; the cache answers at its arrival time."""
-        if request.label not in self._offsets:
-            raise UnknownTape(
-                f"no cartridge labelled {request.label!r}"
-            )
+        self.check(request)
         index = len(self._requests)
         self._requests.append(request)
         self.submitted += 1
@@ -238,12 +195,8 @@ class CachedLibrarySystem:
         key = self._offsets[request.label] + request.segment
         if self.cache.lookup(key, request.length):
             self.hits += 1
-            completion = (
-                self.kernel.now_seconds + self.hit_latency_seconds
-            )
-            self.stats.record(request.arrival_seconds, completion)
-            for listener in self.completion_listeners:
-                listener(request, completion, -1)
+            completion = self.kernel.now_seconds
+            self._record_completion(request, completion, -1)
             if self.bus is not None:
                 # position/drive −1 mark a cache hit in the stream.
                 self.bus.publish(
@@ -259,17 +212,6 @@ class CachedLibrarySystem:
                 )
             return
         self.system.submit(request)
-
-    def _forward_completion(
-        self, item: LibraryRequest, completion_seconds: float, drive: int
-    ) -> None:
-        self.stats.record(item.arrival_seconds, completion_seconds)
-        for listener in self.completion_listeners:
-            listener(item, completion_seconds, drive)
-
-    def _forward_failure(self, item: LibraryRequest) -> None:
-        for listener in self.failure_listeners:
-            listener(item)
 
     # -- staging -----------------------------------------------------------
 
@@ -305,6 +247,4 @@ class CachedLibrarySystem:
                 model,
                 head,
                 schedule.requests,
-                threshold=self.prefetch_threshold,
-                limit=self.max_prefetch_per_batch,
             )

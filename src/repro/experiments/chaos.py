@@ -37,7 +37,7 @@ from repro.experiments.report import print_table
 from repro.geometry.generator import generate_tape
 from repro.library.aging import MediaAgingModel
 from repro.library.cartridge import Cartridge
-from repro.library.requests import label_requests
+from repro.library.requests import LibraryRequest, label_requests
 from repro.library.system import MultiDriveSystem
 from repro.obs.bus import EventBus
 from repro.online.batch_queue import BatchPolicy
@@ -444,10 +444,11 @@ def run_library_point(
         shelf, stripe_unit=stripe_unit, replicas=replicas
     )
     coordinator = StripedReadCoordinator(system, volume)
+    [label] = coordinator.labels()
     rng = np.random.default_rng(config.workload_seed)
     rate_per_second = rate_per_hour / 3600.0
     horizon_seconds = horizon_hours * 3600.0
-    system.begin()
+    reads = []
     clock = 0.0
     while True:
         clock += float(rng.exponential(1.0 / rate_per_second))
@@ -457,9 +458,8 @@ def run_library_point(
         segment = int(
             rng.integers(0, volume.logical_total - length + 1)
         )
-        coordinator.submit(clock, segment, length=length)
-    system.finish()
-    stats = coordinator.stats
+        reads.append(LibraryRequest(clock, label, segment, length))
+    stats = coordinator.run(reads)
     has_samples = stats.count > 0
     makespan = system.clock_seconds
     occupancies = system.robot.occupancies(makespan)
@@ -468,9 +468,9 @@ def run_library_point(
         drives=drives,
         arms=arms,
         cartridges=cartridges,
-        reads=coordinator.reads,
+        reads=coordinator.submitted,
         completed=coordinator.completed,
-        failed_reads=len(coordinator.failed_reads),
+        failed_reads=len(coordinator.failed),
         lost=coordinator.lost,
         degraded_reads=coordinator.degraded_reads,
         repairs_started=coordinator.repairs_started,

@@ -47,6 +47,7 @@ from repro.library.requests import (
     poisson_library_stream,
 )
 from repro.library.robot import ArmPool, ExchangeJob, RobotArm
+from repro.library.serving import ServingTier
 from repro.library.system import BatchRecord, MultiDriveSystem
 
 __all__ = [
@@ -72,6 +73,7 @@ __all__ = [
     "PreemptOnDeadlineExchange",
     "RobotArm",
     "RoundRobinArms",
+    "ServingTier",
     "TapeAffinityAssignment",
     "TapeQueueView",
     "arm_policy_names",

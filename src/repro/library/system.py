@@ -61,21 +61,20 @@ degraded mode (the schedulers are shared, so "this algorithm is too
 slow" is a library-wide fact, not a per-bay one) and every later batch
 on every bay uses the fallback algorithm.
 
-The serving loop is also available in opened form for layers that
-inject requests while the simulation runs (the ``repro.serve``
-gateway): :meth:`MultiDriveSystem.begin` / :meth:`~MultiDriveSystem.submit`
-/ :meth:`~MultiDriveSystem.finish` decompose :meth:`~MultiDriveSystem.run`,
-and the ``completion_listeners`` / ``failure_listeners`` /
-``batch_listeners`` hooks observe outcomes synchronously, in kernel
-order, with the original request objects (identity preserved across
-requeues).
+The system is the bottom :class:`~repro.library.serving.ServingTier`:
+:meth:`~MultiDriveSystem.begin` / :meth:`~MultiDriveSystem.submit` /
+:meth:`~MultiDriveSystem.finish` let layers above inject requests
+while the simulation runs, and the ``completion_listeners`` /
+``failure_listeners`` / ``batch_listeners`` hooks observe outcomes
+synchronously, in kernel order, with the original request objects
+(identity preserved across requeues).
 """
 
 from __future__ import annotations
 
 import math
 import time
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, replace
 
 from repro.drive.simulated import SimulatedDrive
@@ -95,6 +94,7 @@ from repro.library.policies import (
 )
 from repro.library.requests import LibraryRequest
 from repro.library.robot import ArmPool, ExchangeJob
+from repro.library.serving import ServingTier
 from repro.obs.bus import EventBus
 from repro.obs.events import (
     ArmExchangeRecorded,
@@ -173,7 +173,7 @@ def _derived_seed(seed: int, drive_index: int, mount_index: int) -> int:
     ) & 0xFFFFFFFFFFFFFFFF
 
 
-class MultiDriveSystem:
+class MultiDriveSystem(ServingTier):
     """N drives, M cartridges, K robot arms, in simulated time.
 
     Parameters
@@ -255,6 +255,7 @@ class MultiDriveSystem:
             raise LibraryError("cartridge labels must be unique")
         if not labels:
             raise LibraryError("at least one cartridge is required")
+        super().__init__()
         self._shelf: dict[str, Cartridge] = {
             c.label: c for c in cartridges
         }
@@ -292,24 +293,11 @@ class MultiDriveSystem:
             label: BatchQueue(policy=self.policy, bus=bus)
             for label in sorted(self._shelf)
         }
-        self.stats = ResponseStats()
         self.batches: list[BatchRecord] = []
-        #: Requests that exhausted their requeue budget.
-        self.failed: list[LibraryRequest] = []
         #: Times a failed request re-entered its tape's queue.
         self.requeues = 0
-        self.submitted = 0
-        #: Synchronous outcome hooks for layers stacked above the
-        #: library (cache tier, serve gateway).  Called in kernel
-        #: order with the *original* submitted request objects —
-        #: identity survives retries and requeues, so a listener can
-        #: key side state off ``id(request)`` or subclass attributes.
-        self.completion_listeners: list[
-            Callable[[LibraryRequest, float, int], None]
-        ] = []
-        self.failure_listeners: list[
-            Callable[[LibraryRequest], None]
-        ] = []
+        #: Per-batch hook of the cache tier's staging:
+        #: ``listener(label, drive, batch, schedule, result)``.
         self.batch_listeners: list[Callable[..., None]] = []
         self._requeue_counts: dict[int, int] = {}
         self._degraded = False
@@ -357,20 +345,6 @@ class MultiDriveSystem:
     def clock_seconds(self) -> float:
         """The simulated clock (kernel time)."""
         return self.kernel.now_seconds
-
-    @property
-    def completed(self) -> int:
-        """Requests serviced so far."""
-        return self.stats.count
-
-    @property
-    def lost(self) -> int:
-        """Requests neither completed nor surfaced as failed.
-
-        Zero after a finished run — anything else is a scheduling bug,
-        not a statistic.
-        """
-        return self.submitted - self.stats.count - len(self.failed)
 
     @property
     def exchanges(self) -> int:
@@ -429,23 +403,6 @@ class MultiDriveSystem:
 
     # -- the run ------------------------------------------------------------
 
-    def run(self, requests: Iterable[LibraryRequest]) -> ResponseStats:
-        """Service a timed request stream to completion.
-
-        Accepts any iterable (materialized once); order does not
-        matter.  Returns the response-time statistics (also kept on
-        ``self.stats``).  A system instance runs once — the kernel's
-        clock cannot rewind.
-
-        Equivalent to :meth:`begin`, :meth:`submit` for each request
-        (oldest first), then :meth:`finish` — the opened form a
-        serving layer uses to inject requests while the kernel runs.
-        """
-        self.begin()
-        for request in sorted(requests, key=lambda r: r.arrival_seconds):
-            self.submit(request)
-        return self.finish()
-
     def begin(self) -> None:
         """Open the system for :meth:`submit` (one-shot, like
         :meth:`run`)."""
@@ -455,26 +412,15 @@ class MultiDriveSystem:
             )
         self._ran = True
 
-    def submit(self, request: LibraryRequest) -> int:
-        """Inject one request; returns its submission index.
+    def check(self, request: LibraryRequest) -> None:
+        """Reject a malformed request before anything is scheduled.
 
-        Legal between :meth:`begin` and :meth:`finish`, including from
-        kernel handlers *while* :meth:`finish` runs (how the serve
-        gateway releases admitted requests mid-simulation).  A request
-        whose arrival time is already in the past enters its queue at
-        the current kernel time; its response time still counts from
-        the true arrival.
-
-        A malformed request is rejected here, before anything is
-        scheduled (it would otherwise fail inside :meth:`finish`, in
-        the scheduler): an unknown label raises
-        :class:`~repro.exceptions.UnknownTape`, a read that is not
-        wholly on its cartridge raises
+        An unknown label raises :class:`~repro.exceptions.UnknownTape`,
+        a read that is not wholly on its cartridge raises
         :class:`~repro.exceptions.SegmentOutOfRange`, and a length
-        below 1 raises :class:`~repro.exceptions.LibraryError`.
+        below 1 raises :class:`~repro.exceptions.LibraryError` — each
+        would otherwise fail inside :meth:`finish`, in the scheduler.
         """
-        if not self._ran:
-            raise LibraryError("call begin() before submit()")
         cartridge = self.cartridge(request.label)
         if request.length < 1:
             raise LibraryError(
@@ -487,6 +433,21 @@ class MultiDriveSystem:
             raise SegmentOutOfRange(
                 request.segment + request.length - 1, total
             )
+
+    def submit(self, request: LibraryRequest) -> int:
+        """Inject one request; returns its submission index.
+
+        Legal between :meth:`begin` and :meth:`finish`, including from
+        kernel handlers *while* :meth:`finish` runs (how the serve
+        gateway releases admitted requests mid-simulation).  A request
+        whose arrival time is already in the past enters its queue at
+        the current kernel time; its response time still counts from
+        the true arrival.  A malformed request raises here (see
+        :meth:`check`).
+        """
+        if not self._ran:
+            raise LibraryError("call begin() before submit()")
+        self.check(request)
         index = len(self._requests)
         self._requests.append(request)
         self.submitted += 1
@@ -972,9 +933,7 @@ class MultiDriveSystem:
         position: int,
         drive_index: int,
     ) -> None:
-        self.stats.record(item.arrival_seconds, completion_seconds)
-        for listener in self.completion_listeners:
-            listener(item, completion_seconds, drive_index)
+        self._record_completion(item, completion_seconds, drive_index)
         if self.bus is not None:
             self.bus.publish(
                 RequestCompleted(
@@ -1006,9 +965,7 @@ class MultiDriveSystem:
             self._schedule_deadline(label, item.arrival_seconds)
             return
         self._requeue_counts.pop(id(item), None)
-        self.failed.append(item)
-        for listener in self.failure_listeners:
-            listener(item)
+        self._record_failure(item)
         if self.bus is not None:
             self.bus.publish(
                 RequestFailed(

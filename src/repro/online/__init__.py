@@ -11,7 +11,6 @@ from repro.online.batch_queue import (
 )
 from repro.online.metrics import CacheStats, ResponseStats
 from repro.online.striping import (
-    LogicalRead,
     StripeMapping,
     StripedReadCoordinator,
     StripedVolume,
@@ -24,7 +23,6 @@ __all__ = [
     "CacheStats",
     "DeadlineBatchPolicy",
     "ResponseStats",
-    "LogicalRead",
     "StripeMapping",
     "StripedReadCoordinator",
     "StripedVolume",

@@ -25,13 +25,12 @@ Three pieces connect striping to the library:
   ``(u + r) mod K`` in that cartridge's replica-``r`` region (rotated
   placement, so losing any one cartridge loses exactly one copy of
   each affected unit).
-* :class:`StripedReadCoordinator` — fans a logical read out into
-  per-unit sub-requests through a
-  :class:`~repro.library.system.MultiDriveSystem`'s opened serving
-  surface, falls back to surviving replicas when a sub-request
-  exhausts the resilience layer's budgets (a *degraded read*), and
-  enqueues background repair traffic that re-reads the surviving copy
-  — competing with user traffic for drives, arms, and cartridges.
+* :class:`StripedReadCoordinator` — a serving tier that fans a logical
+  read out into per-unit sub-requests to the tier below, falls back to
+  surviving replicas when a sub-request exhausts the resilience
+  layer's budgets (a *degraded read*), and enqueues background repair
+  traffic that re-reads the surviving copy — competing with user
+  traffic for drives, arms, and cartridges.
   The coordinator's own accounting closes the durability loop: every
   logical read ends as completed or failed, never silently lost.
 """
@@ -40,9 +39,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.exceptions import LibraryError, SegmentOutOfRange
+from repro.exceptions import LibraryError, SegmentOutOfRange, UnknownTape
 from repro.library.cartridge import Cartridge
 from repro.library.requests import LibraryRequest
+from repro.library.serving import ServingTier
 from repro.obs.events import DegradedRead, RepairCompleted, RepairStarted
 from repro.online.metrics import ResponseStats
 
@@ -230,23 +230,19 @@ def striped_volume(
 
 
 @dataclass
-class LogicalRead:
-    """One user-visible read of the striped volume."""
+class _LogicalRead:
+    """One user-visible read of the striped volume, in flight."""
 
-    arrival_seconds: float
-    logical_segment: int
-    length: int
+    request: object
     #: Sub-requests still in flight (by object id).
     pending: set[int] = field(default_factory=set)
     completion_seconds: float = 0.0
-    #: Sub-requests that fell back to a surviving replica.
-    degraded: int = 0
     failed: bool = False
 
 
 @dataclass
 class _SubRead:
-    read: LogicalRead
+    read: _LogicalRead
     unit: int
     offset: int
     length: int
@@ -260,52 +256,41 @@ class _Repair:
     enqueued_seconds: float
 
 
-class StripedReadCoordinator:
-    """Replica-aware logical reads on a multi-drive library.
+class StripedReadCoordinator(ServingTier):
+    """Replica-aware logical reads, a serving tier over any other.
 
-    Sits on the opened serving surface of a
-    :class:`~repro.library.system.MultiDriveSystem` (``begin`` /
-    ``submit`` / ``finish`` plus the completion and failure listeners):
-
-    * :meth:`submit` fans a logical read out into per-stripe-unit
-      sub-requests against the primary replica — different units live
-      on different cartridges, so the read parallelizes across drive
-      bays;
-    * a sub-request the system reports *failed* (retries and requeues
-      exhausted on that cartridge) is re-issued against the next
-      surviving replica — a **degraded read**
-      (:class:`~repro.obs.events.DegradedRead`), preserving the
-      original arrival time so the response-time statistics keep
-      charging the full wait;
+    * :meth:`submit` takes a read of the volume — any object with
+      ``arrival_seconds``, ``label`` (the one of :meth:`labels`),
+      logical ``segment`` and ``length`` — and fans it out into
+      per-stripe-unit sub-requests against the primary replica, so
+      the read parallelizes across drive bays.  The listeners get the
+      same object back, so a :class:`~repro.serve.ServeRequest`'s
+      tenant rides through;
+    * a sub-request the backend reports *failed* is re-issued against
+      the next surviving replica — a **degraded read**
+      (:class:`~repro.obs.events.DegradedRead`) that keeps the original
+      arrival time, so the statistics charge the full wait;
     * each degraded unit gets one background **repair** read of the
-      whole surviving copy
-      (:class:`~repro.obs.events.RepairStarted` /
-      :class:`~repro.obs.events.RepairCompleted`) — re-replication
-      traffic competing with user requests for drives, arms, and
-      cartridges;
-    * a sub-request that fails on the *last* replica marks the whole
-      logical read failed — a durability loss, surfaced in
-      :attr:`failed_reads`, never silently dropped: after
-      :meth:`~repro.library.system.MultiDriveSystem.finish`,
-      :attr:`lost` is zero by construction and the chaos sweep gates
-      on it.
+      surviving copy (:class:`~repro.obs.events.RepairStarted` /
+      :class:`~repro.obs.events.RepairCompleted`), competing with user
+      requests for drives, arms, and cartridges;
+    * a sub-request that fails on the *last* replica fails the whole
+      read — a durability loss, surfaced in :attr:`failed`.  The
+      chaos sweep gates on :attr:`lost` being zero.
 
-    The system's own ``failed`` list still counts per-cartridge
-    sub-request failures; durability lives here, where redundancy is
-    visible.
+    The backend's own ``failed`` list counts per-cartridge sub-request
+    failures; durability lives here, where redundancy is visible.
     """
 
-    def __init__(self, system, volume: StripedVolume) -> None:
+    def __init__(self, system: ServingTier, volume: StripedVolume) -> None:
+        super().__init__()
+        known = set(system.labels())
         for label in volume.labels:
-            system.cartridge(label)  # raises UnknownTape early
+            if label not in known:
+                raise UnknownTape(f"no cartridge labelled {label!r}")
         self.system = system
         self.volume = volume
-        self.stats = ResponseStats()
-        #: Logical reads submitted / completed.
-        self.reads = 0
-        self.completed = 0
-        #: Logical reads that exhausted every replica.
-        self.failed_reads: list[LogicalRead] = []
+        self._label = "+".join(volume.labels)
         #: Sub-requests served from a non-primary replica.
         self.degraded_reads = 0
         self.repairs_started = 0
@@ -319,36 +304,61 @@ class StripedReadCoordinator:
         system.failure_listeners.append(self._on_failure)
 
     @property
-    def lost(self) -> int:
-        """Logical reads neither completed nor surfaced as failed.
+    def kernel(self):
+        return self.system.kernel
 
-        Zero after a finished run — anything else is a coordinator
-        bug, not a statistic (the chaos sweep gates on this).
-        """
-        return self.reads - self.completed - len(self.failed_reads)
+    @property
+    def bus(self):
+        return self.system.bus
 
-    def submit(
-        self,
-        arrival_seconds: float,
-        logical_segment: int,
-        length: int = 1,
-    ) -> LogicalRead:
-        """Fan one logical read out across the primary replicas."""
-        read = LogicalRead(
-            arrival_seconds=arrival_seconds,
-            logical_segment=logical_segment,
-            length=length,
-        )
-        self.reads += 1
-        for unit, offset, run in self.volume.unit_runs(
-            logical_segment, length
-        ):
-            self._issue(read, unit, offset, run, replica=0)
-        return read
+    @property
+    def degraded(self) -> bool:
+        return self.system.degraded
+
+    def labels(self) -> list[str]:
+        """The volume's one label: its cartridge labels joined by ``+``."""
+        return [self._label]
+
+    def begin(self) -> None:
+        self.system.begin()
+
+    def finish(self) -> ResponseStats:
+        self.system.finish()
+        return self.stats
+
+    def check(self, request) -> None:
+        """Refuse a read off the volume, or one whose sub-requests —
+        every replica's, so a degraded re-read cannot fail mid-run —
+        the backend would refuse."""
+        self._plan(request)
+
+    def submit(self, request) -> int:
+        """Check the whole read, then count it and fan it out."""
+        runs = self._plan(request)
+        read = _LogicalRead(request=request)
+        self.submitted += 1
+        for unit, offset, length in runs:
+            self._issue(read, unit, offset, length, replica=0)
+        return self.submitted - 1
+
+    def _plan(self, request) -> list[tuple[int, int, int]]:
+        if request.label != self._label:
+            raise UnknownTape(f"no volume labelled {request.label!r}")
+        runs = self.volume.unit_runs(request.segment, request.length)
+        for unit, offset, length in runs:
+            for replica in range(self.volume.replicas):
+                label, start = self.volume.unit_location(unit, replica)
+                self.system.check(
+                    LibraryRequest(
+                        request.arrival_seconds, label, start + offset,
+                        length,
+                    )
+                )
+        return runs
 
     def _issue(
         self,
-        read: LogicalRead,
+        read: _LogicalRead,
         unit: int,
         offset: int,
         length: int,
@@ -356,7 +366,7 @@ class StripedReadCoordinator:
     ) -> None:
         label, start = self.volume.unit_location(unit, replica)
         request = LibraryRequest(
-            arrival_seconds=read.arrival_seconds,
+            arrival_seconds=read.request.arrival_seconds,
             label=label,
             segment=start + offset,
             length=length,
@@ -387,9 +397,8 @@ class StripedReadCoordinator:
             read.completion_seconds, completion_seconds
         )
         if not read.pending and not read.failed:
-            self.completed += 1
-            self.stats.record(
-                read.arrival_seconds, read.completion_seconds
+            self._record_completion(
+                read.request, read.completion_seconds, drive
             )
 
     def _on_failure(self, request) -> None:
@@ -408,14 +417,13 @@ class StripedReadCoordinator:
             # copy.  The re-issued sub keeps the original arrival, so
             # the eventual completion is charged the full wait.
             self.degraded_reads += 1
-            read.degraded += 1
             label, start = self.volume.unit_location(
                 sub.unit, next_replica
             )
-            if self.system.bus is not None:
-                self.system.bus.publish(
+            if self.bus is not None:
+                self.bus.publish(
                     DegradedRead(
-                        seconds=self.system.clock_seconds,
+                        seconds=self.kernel.now_seconds,
                         label=label,
                         segment=start + sub.offset,
                         replica=next_replica,
@@ -434,7 +442,7 @@ class StripedReadCoordinator:
         # read is failed, not lost).
         if not read.failed:
             read.failed = True
-            self.failed_reads.append(read)
+            self._record_failure(read.request)
 
     # -- background repair ---------------------------------------------------
 
@@ -443,15 +451,15 @@ class StripedReadCoordinator:
             return
         self._units_under_repair.add(unit)
         self.repairs_started += 1
-        now = self.system.clock_seconds
+        now = self.kernel.now_seconds
         repair = _Repair(
             unit=unit,
             replica=source_replica,
             enqueued_seconds=now,
         )
         label, start = self.volume.unit_location(unit, source_replica)
-        if self.system.bus is not None:
-            self.system.bus.publish(
+        if self.bus is not None:
+            self.bus.publish(
                 RepairStarted(
                     seconds=now,
                     label=label,
@@ -467,7 +475,7 @@ class StripedReadCoordinator:
             repair.unit, repair.replica
         )
         request = LibraryRequest(
-            arrival_seconds=self.system.clock_seconds,
+            arrival_seconds=self.kernel.now_seconds,
             label=label,
             segment=start,
             length=self.volume.mapping.stripe_unit,
@@ -492,8 +500,8 @@ class StripedReadCoordinator:
         label, start = self.volume.unit_location(
             repair.unit, repair.replica
         )
-        if self.system.bus is not None:
-            self.system.bus.publish(
+        if self.bus is not None:
+            self.bus.publish(
                 RepairCompleted(
                     seconds=completion_seconds,
                     label=label,

@@ -1,10 +1,9 @@
 """The SLA-aware serving gateway.
 
-:class:`Gateway` is the admission-and-fairness layer in front of a
-:class:`~repro.library.MultiDriveSystem` (or anything exposing its
-``begin``/``submit``/``finish`` + listener surface, such as the cache
-tier's :class:`~repro.cache.library_tier.CachedLibrarySystem`).  Per
-request, in simulated time:
+:class:`Gateway` is the admission-and-fairness layer in front of any
+:class:`~repro.library.serving.ServingTier`; before any event runs,
+every request passes the backend's ``check``.  Per request, in
+simulated time:
 
 1. **Admission** — the request enters at its arrival instant
    (:class:`~repro.serve.events.GatewayArrival` on the shared kernel).
@@ -41,12 +40,12 @@ from dataclasses import dataclass
 from repro.exceptions import (
     AdmissionRejected,
     DeadlineExpired,
+    ReproError,
     ServeError,
     TenantOverloaded,
     UnknownTenant,
 )
-from repro.library.system import MultiDriveSystem
-from repro.obs.bus import EventBus
+from repro.library.serving import ServingTier
 from repro.obs.events import (
     ServeAdmitted,
     ServeCompleted,
@@ -175,27 +174,23 @@ class Gateway:
         The :class:`~repro.serve.config.ServeConfig` — tenants,
         backpressure, shedding.
     system:
-        The backend: a fresh (un-run) :class:`MultiDriveSystem` or a
-        compatible tier.  The gateway drives it through
-        ``begin``/``submit``/``finish`` and observes outcomes through
-        its listener hooks; build it with the same ``bus`` to get one
-        unified event stream.
-    bus:
-        Optional :class:`~repro.obs.bus.EventBus` for the ``serve.*``
-        events; defaults to the backend's bus.
+        The backend: a fresh (un-run)
+        :class:`~repro.library.serving.ServingTier`.  The gateway
+        drives it through ``check``/``begin``/``submit``/``finish``,
+        observes outcomes through its listener hooks, and publishes
+        the ``serve.*`` events on its ``bus``.
     """
 
     def __init__(
         self,
         config: ServeConfig,
         *,
-        system: MultiDriveSystem,
-        bus: EventBus | None = None,
+        system: ServingTier,
     ) -> None:
         self.config = config
         self.system = system
         self.kernel = system.kernel
-        self.bus = bus if bus is not None else system.bus
+        self.bus = system.bus
         self.metrics = MetricsRegistry()
         self._tenants: dict[str, TenantConfig] = {
             tenant.name: tenant for tenant in config.tenants
@@ -235,17 +230,17 @@ class Gateway:
             )
         self._ran = True
         items = sorted(requests, key=lambda r: r.arrival_seconds)
-        labels = set(self.system.labels())
         for request in items:
             if request.tenant not in self._tenants:
                 raise UnknownTenant(
                     f"no tenant named {request.tenant!r}"
                 )
-            if request.label not in labels:
+            try:
+                self.system.check(request)
+            except ReproError as error:
                 raise ServeError(
-                    f"request addresses unknown cartridge "
-                    f"{request.label!r}"
-                )
+                    f"backend rejects {request}: {error}"
+                ) from error
         self._requests = items
         self.system.begin()
         for index, request in enumerate(items):

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.cache import CachedLibrarySystem, GDSFPolicy, SegmentCache
-from repro.exceptions import CacheError
 from repro.geometry import tiny_tape
 from repro.library import label_requests
 from repro.online import BatchPolicy
@@ -56,16 +55,6 @@ class TestCachedSystem:
         assert system.cache_stats.hits == 1
         assert stats.mean_seconds == 0.0
 
-    def test_hit_latency_charged(self, cached):
-        system = cached(cache=SegmentCache(8), hit_latency_seconds=0.25)
-        system.cache.admit(42)
-        stats = system.run(label_requests("tape", [TimedRequest(1.0, 42)]))
-        assert stats.mean_seconds == pytest.approx(0.25)
-
-    def test_negative_hit_latency_rejected(self, cached):
-        with pytest.raises(CacheError):
-            cached(hit_latency_seconds=-1.0)
-
     def test_misses_are_staged_for_reuse(self, cached):
         system = cached(cache=SegmentCache(16))
         system.run(
@@ -96,7 +85,6 @@ class TestCachedSystem:
             policy=BatchPolicy(max_batch=16),
             cache=SegmentCache(64),
             prefetch=True,
-            prefetch_threshold=50,
         )
         with_prefetch.run(list(requests))
         without = cached(

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cache import CachedLibrarySystem, SegmentCache
-from repro.exceptions import CacheError, UnknownTape
+from repro.exceptions import SegmentOutOfRange, UnknownTape
 from repro.geometry import tiny_tape
 from repro.library import (
     Cartridge,
@@ -39,10 +39,6 @@ def make_tier(cartridges=None, drives=2, **kwargs):
 
 
 class TestValidation:
-    def test_rejects_negative_latency(self):
-        with pytest.raises(CacheError):
-            make_tier(hit_latency_seconds=-1.0)
-
     def test_rejects_unknown_label(self):
         tier = make_tier()
         with pytest.raises(UnknownTape):
@@ -53,6 +49,32 @@ class TestValidation:
                     )
                 ]
             )
+
+    def test_read_past_its_tape_cannot_alias_the_next(self):
+        # The cache keys tape b's segments right after tape a's, so a
+        # read past a's end would land on b's keys.  The library's own
+        # check refuses it at submit, before any lookup.
+        cartridges = shelf()
+        tier = make_tier(cartridges, drives=1, prefetch=False)
+        total_a = cartridges[0].geometry.total_segments
+        tier.begin()
+        tier.submit(
+            LibraryRequest(
+                arrival_seconds=0.0, label="tape-1", segment=5
+            )
+        )
+        with pytest.raises(SegmentOutOfRange):
+            tier.submit(
+                LibraryRequest(
+                    arrival_seconds=50_000.0,
+                    label="tape-0",
+                    segment=total_a + 5,
+                )
+            )
+        tier.finish()
+        assert tier.hits == 0
+        assert tier.submitted == tier.completed == 1
+        assert tier.lost == 0
 
 
 class TestServing:
@@ -91,9 +113,7 @@ class TestServing:
             ),
         ]
         outcomes = []
-        tier = make_tier(
-            cartridges, drives=1, hit_latency_seconds=2.5
-        )
+        tier = make_tier(cartridges, drives=1)
         tier.completion_listeners.append(
             lambda request, seconds, drive: outcomes.append(
                 (request.arrival_seconds, seconds, drive)
@@ -101,8 +121,10 @@ class TestServing:
         )
         tier.run(requests)
         assert tier.hits == 1
+        # Disk latency is negligible against tape: a hit completes at
+        # its lookup instant and reports drive -1.
         hit = [o for o in outcomes if o[2] == -1]
-        assert hit == [(10_000.0, 10_002.5, -1)]
+        assert hit == [(10_000.0, 10_000.0, -1)]
 
     def test_same_segment_on_different_tapes_does_not_collide(self):
         """Global key space: tape-0/seg-5 must not hit for tape-1/seg-5."""

@@ -3,8 +3,8 @@
 The placement tests pin the rotated-replica layout (losing one
 cartridge costs exactly one copy of each unit, never two) and the
 validation surface added to :class:`StripeMapping`.  The coordinator
-tests drive a real :class:`MultiDriveSystem` through the opened
-serving surface and check the durability contract the chaos sweep
+tests drive a real :class:`MultiDriveSystem` through the coordinator's
+own serving surface and check the durability contract the chaos sweep
 gates on: every logical read ends either completed or surfaced as
 failed — ``lost`` is zero by construction, with or without faults.
 """
@@ -15,7 +15,7 @@ import pytest
 
 from repro.exceptions import LibraryError, SegmentOutOfRange, UnknownTape
 from repro.geometry import tiny_tape
-from repro.library import Cartridge, MultiDriveSystem
+from repro.library import Cartridge, LibraryRequest, MultiDriveSystem
 from repro.online import (
     BatchPolicy,
     StripeMapping,
@@ -34,6 +34,14 @@ def shelf(count=CARTRIDGES):
     return [
         Cartridge(f"vol{i}", tiny_tape(seed=i + 1)) for i in range(count)
     ]
+
+
+def read(coordinator, arrival_seconds, logical_segment, length=1):
+    """A logical read of the coordinator's volume."""
+    [label] = coordinator.labels()
+    return LibraryRequest(
+        arrival_seconds, label, logical_segment, length=length
+    )
 
 
 def make_system(tapes, fault_plan=None):
@@ -148,19 +156,19 @@ class TestCoordinatorCleanPath:
                                 replicas=2)
         system = make_system(tapes)
         coordinator = StripedReadCoordinator(system, volume)
-        system.begin()
-        for k in range(10):
-            logical = (k * 3) % (volume.logical_total - STRIPE_UNIT)
-            coordinator.submit(
-                arrival_seconds=60.0 * k,
-                logical_segment=logical,
+        coordinator.run(
+            read(
+                coordinator,
+                60.0 * k,
+                (k * 3) % (volume.logical_total - STRIPE_UNIT),
                 length=1 + k % STRIPE_UNIT,
             )
-        system.finish()
-        assert coordinator.reads == 10
+            for k in range(10)
+        )
+        assert coordinator.submitted == 10
         assert coordinator.completed == 10
         assert coordinator.lost == 0
-        assert coordinator.failed_reads == []
+        assert coordinator.failed == []
         assert coordinator.degraded_reads == 0
         assert coordinator.stats.count == 10
 
@@ -190,19 +198,72 @@ class TestCoordinatorCleanPath:
         )
         system = make_system(tapes)
         coordinator = StripedReadCoordinator(system, oversize)
-        system.begin()
-        coordinator.submit(0.0, fitted.logical_total - 1)
+        coordinator.begin()
+        coordinator.submit(read(coordinator, 0.0, fitted.logical_total - 1))
         with pytest.raises(SegmentOutOfRange):
-            coordinator.submit(0.0, oversize.logical_total - 1)
-        system.finish()
+            coordinator.submit(
+                read(coordinator, 0.0, oversize.logical_total - 1)
+            )
+        coordinator.finish()
         assert coordinator.completed == 1
+        assert coordinator.lost == 0
+
+    def test_read_with_only_its_later_unit_off_tape_issues_nothing(self):
+        # Oversize volume again: a two-unit read whose first unit is on
+        # tape and whose second is not.  The whole read is refused
+        # before either sub-request reaches the library.
+        tapes = shelf()
+        fitted = striped_volume(tapes, stripe_unit=STRIPE_UNIT)
+        oversize = StripedVolume(
+            labels=fitted.labels,
+            mapping=StripeMapping(
+                drives=CARTRIDGES,
+                stripe_unit=STRIPE_UNIT,
+                units_per_drive=fitted.mapping.units_per_drive + 10,
+            ),
+        )
+        totals = {t.label: t.geometry.total_segments for t in tapes}
+
+        def on_tape(unit):
+            label, start = oversize.unit_location(unit, 0)
+            return start + STRIPE_UNIT <= totals[label]
+
+        def off_tape(unit):
+            label, start = oversize.unit_location(unit, 0)
+            return start >= totals[label]
+
+        unit = next(
+            u for u in range(1, oversize.total_units)
+            if on_tape(u - 1) and off_tape(u)
+        )
+        system = make_system(tapes)
+        coordinator = StripedReadCoordinator(system, oversize)
+        coordinator.begin()
+        with pytest.raises(SegmentOutOfRange):
+            coordinator.submit(
+                read(coordinator, 0.0, unit * STRIPE_UNIT - 1, length=2)
+            )
+        assert system.submitted == 0
+        assert coordinator.submitted == 0
+        coordinator.finish()
+        assert system.lost == 0
+        assert coordinator.lost == 0
+
+    def test_unknown_volume_label_rejected(self):
+        tapes = shelf()
+        coordinator = StripedReadCoordinator(
+            make_system(tapes), striped_volume(tapes)
+        )
+        assert coordinator.labels() == ["vol0+vol1+vol2+vol3"]
+        with pytest.raises(UnknownTape):
+            coordinator.check(LibraryRequest(0.0, "vol0", 0))
 
 
 class TestCoordinatorDegradedPath:
     def test_certain_faults_surface_every_read(self):
         # read_fault_probability=1.0: every attempt on every replica
         # fails, so each sub-request degrades through the replica
-        # chain and the read ends in failed_reads — surfaced, not
+        # chain and the read ends in failed — surfaced, not
         # lost.
         tapes = shelf()
         volume = striped_volume(tapes, stripe_unit=STRIPE_UNIT,
@@ -211,16 +272,12 @@ class TestCoordinatorDegradedPath:
             tapes, fault_plan=FaultPlan(read_fault_probability=1.0)
         )
         coordinator = StripedReadCoordinator(system, volume)
-        system.begin()
-        for k in range(4):
-            coordinator.submit(
-                arrival_seconds=120.0 * k,
-                logical_segment=k * STRIPE_UNIT,
-                length=1,
-            )
-        system.finish()
+        coordinator.run(
+            read(coordinator, 120.0 * k, k * STRIPE_UNIT)
+            for k in range(4)
+        )
         assert coordinator.lost == 0
-        assert len(coordinator.failed_reads) == 4
+        assert len(coordinator.failed) == 4
         assert coordinator.completed == 0
         # Each unit fell back to replica 1 before giving up, and the
         # repair it triggered failed on every source too.
@@ -241,19 +298,19 @@ class TestCoordinatorDegradedPath:
             ),
         )
         coordinator = StripedReadCoordinator(system, volume)
-        system.begin()
-        for k in range(20):
-            logical = (k * 5) % (volume.logical_total - STRIPE_UNIT)
-            coordinator.submit(
-                arrival_seconds=90.0 * k,
-                logical_segment=logical,
+        coordinator.run(
+            read(
+                coordinator,
+                90.0 * k,
+                (k * 5) % (volume.logical_total - STRIPE_UNIT),
                 length=1 + k % 3,
             )
-        system.finish()
+            for k in range(20)
+        )
         assert coordinator.lost == 0
         assert (
-            coordinator.completed + len(coordinator.failed_reads)
-            == coordinator.reads
+            coordinator.completed + len(coordinator.failed)
+            == coordinator.submitted
         )
         assert (
             coordinator.repairs_completed + coordinator.repairs_failed
@@ -268,12 +325,8 @@ class TestCoordinatorDegradedPath:
             tapes, fault_plan=FaultPlan(read_fault_probability=1.0)
         )
         coordinator = StripedReadCoordinator(system, volume)
-        system.begin()
-        coordinator.submit(
-            arrival_seconds=0.0, logical_segment=0, length=1
-        )
-        system.finish()
+        coordinator.run([read(coordinator, 0.0, 0)])
         assert coordinator.lost == 0
-        assert len(coordinator.failed_reads) == 1
+        assert len(coordinator.failed) == 1
         assert coordinator.degraded_reads == 0
         assert coordinator.repairs_started == 0

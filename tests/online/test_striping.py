@@ -18,7 +18,7 @@ import pytest
 
 from repro.exceptions import LibraryError, SegmentOutOfRange
 from repro.geometry import tiny_tape
-from repro.library import Cartridge, MultiDriveSystem
+from repro.library import Cartridge, LibraryRequest, MultiDriveSystem
 from repro.online import (
     BatchPolicy,
     StripeMapping,
@@ -62,11 +62,12 @@ def serve(cartridges, batches, stripe_unit=1, scheduler=None):
     )
     volume = striped_volume(cartridges, stripe_unit=stripe_unit)
     coordinator = StripedReadCoordinator(system, volume)
-    system.begin()
-    for index, batch in enumerate(batches):
-        for logical in batch:
-            coordinator.submit(index * BATCH_GAP_SECONDS, int(logical))
-    system.finish()
+    [label] = coordinator.labels()
+    coordinator.run(
+        LibraryRequest(index * BATCH_GAP_SECONDS, label, int(logical))
+        for index, batch in enumerate(batches)
+        for logical in batch
+    )
     assert coordinator.lost == 0
     per_batch = []
     for index in range(len(batches)):

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.exceptions import (
     DeadlineExpired,
+    SegmentOutOfRange,
     ServeError,
     TenantOverloaded,
     UnknownTenant,
@@ -63,6 +64,26 @@ class TestValidation:
         gateway = make_gateway((TenantConfig(name="a"),))
         with pytest.raises(ServeError):
             gateway.run(burst("a", 1, label="tape-99"))
+
+    def test_read_past_its_tape_rejected_upfront(self):
+        # The backend's own check runs for every request before any
+        # event does; the ServeError chains the library's typed error.
+        shelf = small_shelf()
+        gateway = make_gateway((TenantConfig(name="a"),), shelf=shelf)
+        total = shelf[0].geometry.total_segments
+        past_end = burst("a", 1, label="tape-0", start=100.0)[0]
+        past_end = ServeRequest(
+            arrival_seconds=past_end.arrival_seconds,
+            label="tape-0",
+            segment=total - 1,
+            length=2,
+            tenant="a",
+        )
+        with pytest.raises(ServeError) as raised:
+            gateway.run(burst("a", 3) + [past_end])
+        assert isinstance(raised.value.__cause__, SegmentOutOfRange)
+        assert gateway.kernel.events_dispatched == 0
+        assert gateway.system.submitted == 0
 
     def test_single_use(self):
         gateway = make_gateway((TenantConfig(name="a"),))

@@ -152,3 +152,36 @@ class TestPublicSurface:
         )
         assert stats.count == 2
         assert system.cache_stats.hits == 1
+
+    def test_tutorial_striping_snippet_runs(self):
+        # The docs/TUTORIAL.md striped-volume snippet, verbatim scale.
+        from repro import generate_tape
+        from repro.library import (
+            Cartridge,
+            LibraryRequest,
+            MultiDriveSystem,
+        )
+        from repro.online import (
+            BatchPolicy,
+            StripedReadCoordinator,
+            striped_volume,
+        )
+
+        shelf = [
+            Cartridge(f"vol{i}", generate_tape(seed=i)) for i in range(4)
+        ]
+        batch = range(0, 4000, 13)
+        system = MultiDriveSystem(
+            shelf,
+            drives=4,
+            preload=[c.label for c in shelf],
+            policy=BatchPolicy(max_batch=len(batch)),
+        )
+        coordinator = StripedReadCoordinator(system, striped_volume(shelf))
+        [volume] = coordinator.labels()
+        assert volume == "vol0+vol1+vol2+vol3"
+        stats = coordinator.run(
+            LibraryRequest(0.0, volume, logical) for logical in batch
+        )
+        assert stats.count == len(batch)
+        assert stats.max_seconds == 22.247742035261037
